@@ -1,7 +1,8 @@
 """Exact Cayley-ball enumeration by breadth-first search.
 
-Spheres are deduped by canonical byte key.  Because every generator has word
-length one, a product of a sphere-k element with a letter lands in sphere
+Spheres are deduped on element payloads, which every family keeps in canonical
+hashable form, so no product is encoded to bytes.  Because every generator has
+word length one, a product of a sphere-k element with a letter lands in sphere
 k-1, k, or k+1; keeping the two newest spheres in memory is therefore enough
 for exact counts.
 """
@@ -9,13 +10,11 @@ for exact counts.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass, field
 
-from .errors import ClosureBudgetExceeded
-from .groups import GeneratingSet, GroupHandle, GroupSpec, SurfaceGroup, make_generating_set
-from .surface import dehn_reduce
-from .words import free_reduce, invert
+from .groups import GeneratingSet, GroupHandle, GroupSpec, make_generating_set
 
 
 class _Unknown:
@@ -49,7 +48,6 @@ class GrowthTable:
     gamma: tuple[int, ...]
     sigma: tuple[int, ...]
     complete: bool
-    slow_path: bool = False
     budget_used: BudgetUsed = field(default=BudgetUsed(), compare=False)
 
     def __post_init__(self):
@@ -71,6 +69,37 @@ class GrowthTable:
                     )
 
 
+def spheres(handle: GroupHandle, gens: GeneratingSet, max_elements: int | None = None):
+    """Yield the spheres S(1), S(2), ... of the Cayley graph as sets of payloads.
+
+    Payloads are canonical and hashable, so set membership is group equality.
+    Only the two newest spheres are kept.  The first empty sphere (the group
+    is exhausted) is yielded last.  With `max_elements`, the generator stops
+    inside the product loop as soon as the ball would outgrow the cap, without
+    yielding the sphere that overflowed; a run that ends without an empty
+    sphere was therefore cut short.
+    """
+    mul = handle.mul
+    letters = gens.elements
+    room = math.inf if max_elements is None else max_elements - 1
+    prev: set = set()
+    cur = {handle.identity}
+    while cur:
+        nxt: set = set()
+        for el in cur:
+            for s in letters:
+                prod = mul(el, s)
+                # repeats land in S(k+1) or S(k-1) more often than in S(k)
+                if prod in nxt or prod in prev or prod in cur:
+                    continue
+                nxt.add(prod)
+                if len(nxt) > room:
+                    return
+        yield nxt
+        room -= len(nxt)
+        prev, cur = cur, nxt
+
+
 def growth_table(
     handle: GroupHandle,
     gens: GeneratingSet,
@@ -82,120 +111,36 @@ def growth_table(
 
     Stops early with ``complete=False`` when a budget runs out; the table is
     truncated at the last fully enumerated sphere.  A surface group whose
-    canonicalization blows its closure budget is re-enumerated on a slower
-    pairwise-equality path and still reported exact.
+    canonicalization blows its closure budget raises ClosureBudgetExceeded.
     """
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
-    try:
-        return _growth_fast(handle, gens, kmax, max_elements, max_seconds)
-    except ClosureBudgetExceeded:
-        if isinstance(handle, SurfaceGroup):
-            return _growth_surface_slow(handle, gens, kmax, max_elements, max_seconds)
-        raise
-
-
-def _finish(handle, gens, kmax, gamma, complete, t0, slow_path=False) -> GrowthTable:
+    t0 = time.monotonic()
+    kernel = spheres(handle, gens, max_elements)
+    gamma = [1]
+    complete = True
+    while len(gamma) <= kmax:
+        if max_seconds is not None and time.monotonic() - t0 > max_seconds:
+            complete = False
+            break
+        sphere = next(kernel, None)
+        if sphere is None:  # the element cap cut this sphere short
+            complete = False
+            break
+        gamma.append(gamma[-1] + len(sphere))
+        if not sphere:
+            # group exhausted: every later sphere is empty
+            gamma.extend([gamma[-1]] * (kmax + 1 - len(gamma)))
     reached = len(gamma) - 1
-    sigma = [1] + [gamma[k] - gamma[k - 1] for k in range(1, reached + 1)]
-    used = BudgetUsed(elements=gamma[-1], seconds=time.monotonic() - t0)
     return GrowthTable(
         spec=handle.spec,
         gens=gens,
         kmax=reached,
         gamma=tuple(gamma),
-        sigma=tuple(sigma),
+        sigma=(1,) + tuple(gamma[k] - gamma[k - 1] for k in range(1, reached + 1)),
         complete=complete,
-        slow_path=slow_path,
-        budget_used=used,
+        budget_used=BudgetUsed(elements=gamma[-1], seconds=time.monotonic() - t0),
     )
-
-
-def _growth_fast(handle, gens, kmax, max_elements, max_seconds) -> GrowthTable:
-    t0 = time.monotonic()
-    letters = gens.elements
-    identity = handle.identity
-    prev_keys: set[bytes] = set()
-    cur = {handle.canonical_key(identity): identity}
-    gamma = [1]
-    total = 1
-    for _ in range(kmax):
-        if max_seconds is not None and time.monotonic() - t0 > max_seconds:
-            return _finish(handle, gens, kmax, gamma, False, t0)
-        nxt: dict[bytes, object] = {}
-        for el in cur.values():
-            for s in letters:
-                prod = handle.mul(el, s)
-                key = handle.canonical_key(prod)
-                if key in cur or key in prev_keys or key in nxt:
-                    continue
-                nxt[key] = prod
-                if max_elements is not None and total + len(nxt) > max_elements:
-                    return _finish(handle, gens, kmax, gamma, False, t0)
-        total += len(nxt)
-        gamma.append(total)
-        if not nxt:
-            # group exhausted: every later sphere is empty
-            gamma.extend([total] * (kmax - len(gamma) + 1))
-            return _finish(handle, gens, kmax, gamma, True, t0)
-        prev_keys = set(cur.keys())
-        cur = nxt
-    return _finish(handle, gens, kmax, gamma, True, t0)
-
-
-def _abelianized(word, n_letters: int) -> tuple[int, ...]:
-    counts = [0] * n_letters
-    for letter in word:
-        counts[abs(letter) - 1] += 1 if letter > 0 else -1
-    return tuple(counts)
-
-
-def _growth_surface_slow(handle: SurfaceGroup, gens, kmax, max_elements, max_seconds) -> GrowthTable:
-    """Pairwise Dehn-equality enumeration, quadratic per sphere.
-
-    Elements are stored as Dehn-reduced words; equality of u, v is decided by
-    reducing u v^-1 to the empty word.  Buckets keyed by abelianization keep
-    the pairwise comparisons local.
-    """
-    t0 = time.monotonic()
-    relator = handle.relator
-    n_letters = 2 * handle.genus
-
-    def equal(u, v) -> bool:
-        return dehn_reduce(free_reduce(u + invert(v)), relator) == ()
-
-    def bucket_of(word):
-        return _abelianized(word, n_letters)
-
-    letters = [dehn_reduce(free_reduce(tuple(s)), relator) for s in gens.elements]
-    prev: dict[tuple, list] = {}
-    cur: dict[tuple, list] = {bucket_of(()): [()]}
-    gamma = [1]
-    total = 1
-    for _ in range(kmax):
-        if max_seconds is not None and time.monotonic() - t0 > max_seconds:
-            return _finish(handle, gens, kmax, gamma, False, t0, slow_path=True)
-        nxt: dict[tuple, list] = {}
-        added = 0
-        for words in cur.values():
-            for w in words:
-                for s in letters:
-                    prod = dehn_reduce(free_reduce(w + s), relator)
-                    b = bucket_of(prod)
-                    if any(equal(prod, u) for layer in (cur, prev, nxt) for u in layer.get(b, ())):
-                        continue
-                    nxt.setdefault(b, []).append(prod)
-                    added += 1
-                    if max_elements is not None and total + added > max_elements:
-                        return _finish(handle, gens, kmax, gamma, False, t0, slow_path=True)
-        total += added
-        gamma.append(total)
-        if added == 0:
-            gamma.extend([total] * (kmax - len(gamma) + 1))
-            return _finish(handle, gens, kmax, gamma, True, t0, slow_path=True)
-        prev = cur
-        cur = nxt
-    return _finish(handle, gens, kmax, gamma, True, t0, slow_path=True)
 
 
 def ball_elements(handle: GroupHandle, gens: GeneratingSet, radius: int) -> list:
@@ -204,23 +149,9 @@ def ball_elements(handle: GroupHandle, gens: GeneratingSet, radius: int) -> list
     Within a sphere elements are sorted by canonical key, so the order is a
     pure function of the inputs.
     """
-    identity = handle.identity
-    prev_keys: set[bytes] = set()
-    cur = {handle.canonical_key(identity): identity}
-    out = [identity]
-    for _ in range(radius):
-        nxt: dict[bytes, object] = {}
-        for el in cur.values():
-            for s in gens.elements:
-                prod = handle.mul(el, s)
-                key = handle.canonical_key(prod)
-                if key not in cur and key not in prev_keys and key not in nxt:
-                    nxt[key] = prod
-        out.extend(el for _, el in sorted(nxt.items()))
-        if not nxt:
-            break
-        prev_keys = set(cur.keys())
-        cur = nxt
+    out = [handle.identity]
+    for sphere in itertools.islice(spheres(handle, gens), max(radius, 0)):
+        out.extend(sorted(sphere, key=handle.canonical_key))
     return out
 
 
@@ -231,28 +162,15 @@ def is_generating(handle: GroupHandle, gens: GeneratingSet, radius_cap: int):
     them, and UNKNOWN when the cap is exhausted first; an infinite group can
     never earn a definitive False.
     """
-    targets = {handle.canonical_key(el) for el in handle.default_generators().elements}
-    identity = handle.identity
-    prev_keys: set[bytes] = set()
-    cur = {handle.canonical_key(identity): identity}
-    targets -= set(cur.keys())
+    targets = set(handle.default_generators().elements) - {handle.identity}
     if not targets:
         return True
-    for _ in range(radius_cap):
-        nxt: dict[bytes, object] = {}
-        for el in cur.values():
-            for s in gens.elements:
-                prod = handle.mul(el, s)
-                key = handle.canonical_key(prod)
-                if key not in cur and key not in prev_keys and key not in nxt:
-                    nxt[key] = prod
-        targets -= set(nxt.keys())
+    for sphere in itertools.islice(spheres(handle, gens), max(radius_cap, 0)):
+        targets -= sphere
         if not targets:
             return True
-        if not nxt:
+        if not sphere:
             return False
-        prev_keys = set(cur.keys())
-        cur = nxt
     return UNKNOWN
 
 

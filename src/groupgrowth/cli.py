@@ -74,6 +74,17 @@ def _load_bcg(path) -> dict:
         raise ValueError("BCG table file must be a JSON list of [n, a, c] triples")
     entries = {}
     for item in data:
+        # exact type checks: JSON true/false load as bool, a subclass of int
+        if not (
+            isinstance(item, list)
+            and len(item) == 3
+            and type(item[0]) is int
+            and type(item[1]) is int
+            and type(item[2]) in (int, float)
+        ):
+            raise ValueError(
+                f"BCG table entries must be [n, a, c] with integers n, a and a number c, got {item!r}"
+            )
         n, a, c = item
         entries[(n, a)] = c
     return make_bcg_table(entries)
@@ -111,7 +122,6 @@ def _cmd_growth(args) -> int:
         "generators": _gens_dict(gens),
         "kmax": table.kmax,
         "complete": table.complete,
-        "slow_path": table.slow_path,
         "gamma": list(table.gamma),
         "sigma": list(table.sigma),
         "rates": rates.to_dict(),
@@ -180,6 +190,8 @@ def _applicable_bound(spec: GroupSpec):
 
 
 def _cmd_verify(args) -> int:
+    if args.kmax < 1:
+        raise ValueError(f"--kmax must be >= 1 for verify, got {args.kmax}")
     spec = _load_group_spec(args.spec)
     handle = make_group(spec)
     gens = handle.default_generators()
@@ -187,6 +199,8 @@ def _cmd_verify(args) -> int:
         handle, gens, args.kmax, max_elements=args.max_elements, max_seconds=args.max_seconds
     )
     roots = root_bounds(table)
+    if not roots:
+        raise ValueError("the budget ran out before sphere 1; no root bound to verify")
     min_root = min(roots)
     bound = _applicable_bound(spec)
     report = {

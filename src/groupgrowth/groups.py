@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidSpec, InvalidGenus
-from .surface import DEFAULT_CLOSURE_BUDGET, SurfaceRelator, dehn_reduce, surface_canonical
+from .surface import SurfaceRelator, dehn_reduce, surface_canonical
 from .words import free_reduce, format_word, invert
 
 FAMILIES = (
@@ -28,6 +28,10 @@ FAMILIES = (
 )
 
 _ALPHABET = "abcdefghijklmnopqrstuvwxyz"
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _letter_names(n: int) -> list[str]:
@@ -52,7 +56,7 @@ class MatrixZ2:
         except (TypeError, ValueError):
             raise InvalidSpec(f"expected a 2x2 integer matrix, got {rows!r}")
         for e in (a, b, c, d):
-            if not isinstance(e, int) or isinstance(e, bool):
+            if not _is_int(e):
                 raise InvalidSpec(f"matrix entries must be integers, got {e!r}")
         return cls(a, b, c, d)
 
@@ -122,15 +126,18 @@ class GroupSpec:
                     raise InvalidSpec(f"{self.family} requires parameter {name!r}")
             elif value is not None:
                 raise InvalidSpec(f"{self.family} takes no parameter {name!r}")
-        if self.family == "cyclic" and (not isinstance(self.m, int) or self.m < 1):
+        if self.family == "cyclic" and (not _is_int(self.m) or self.m < 1):
             raise InvalidSpec(f"cyclic order must be a positive integer, got {self.m!r}")
-        if self.family in ("free", "free_abelian") and (not isinstance(self.n, int) or self.n < 1):
+        if self.family in ("free", "free_abelian") and (not _is_int(self.n) or self.n < 1):
             raise InvalidSpec(f"{self.family} rank must be >= 1, got {self.n!r}")
         if self.family == "surface":
-            if not isinstance(self.genus, int) or self.genus < 2:
+            if not _is_int(self.genus) or self.genus < 2:
                 raise InvalidGenus(f"surface genus must be >= 2, got {self.genus!r}")
-        if self.family == "torus_bundle" and abs(self.matrix.det()) != 1:
-            raise InvalidSpec(f"torus_bundle matrix must have |det| = 1, got det {self.matrix.det()}")
+        if self.family == "torus_bundle":
+            if not isinstance(self.matrix, MatrixZ2):
+                object.__setattr__(self, "matrix", MatrixZ2.from_rows(self.matrix))
+            if abs(self.matrix.det()) != 1:
+                raise InvalidSpec(f"torus_bundle matrix must have |det| = 1, got det {self.matrix.det()}")
         if self.family == "free_product":
             if len(self.factors) < 2:
                 raise InvalidSpec("free_product needs at least two factors")
@@ -170,8 +177,6 @@ class GroupSpec:
 
     @classmethod
     def torus_bundle(cls, matrix, label: str | None = None) -> "GroupSpec":
-        if not isinstance(matrix, MatrixZ2):
-            matrix = MatrixZ2.from_rows(matrix)
         return cls("torus_bundle", matrix=matrix, label=label)
 
     @classmethod
@@ -223,7 +228,7 @@ class GroupSpec:
             elif family == "surface":
                 kwargs["genus"] = params["genus"]
             elif family == "torus_bundle":
-                kwargs["matrix"] = MatrixZ2.from_rows(params["matrix"])
+                kwargs["matrix"] = params["matrix"]
             elif family == "free_product":
                 kwargs["factors"] = tuple(cls.from_dict(f) for f in params["factors"])
             elif family == "direct_product_with_Z":
@@ -329,8 +334,10 @@ def make_generating_set(handle: "GroupHandle", named, symmetrize: bool = True) -
 class GroupHandle:
     """Element arithmetic for one group family.
 
-    Handles are immutable after construction and safe to share; elements are
-    plain hashable payloads in canonical form.
+    Elements are plain hashable payloads in canonical form.  A handle's
+    parameters are fixed at construction, but it is not immutable: it may
+    keep a memo that grows as it is used (TorusBundleGroup caches matrix
+    powers).  The memo never changes a result.
     """
 
     identity = None
@@ -532,18 +539,17 @@ class SurfaceGroup(GroupHandle):
 
     identity = ()
 
-    def __init__(self, spec: GroupSpec, closure_budget: int = DEFAULT_CLOSURE_BUDGET):
+    def __init__(self, spec: GroupSpec):
         super().__init__(spec)
         self.genus = spec.genus
         self.relator = SurfaceRelator(spec.genus)
-        self.closure_budget = closure_budget
         self._names = []
         for i in range(1, spec.genus + 1):
             self._names.extend([f"a{i}", f"b{i}"])
 
     def _canon(self, word):
         reduced = dehn_reduce(free_reduce(word), self.relator)
-        return surface_canonical(reduced, self.relator, self.closure_budget)
+        return surface_canonical(reduced, self.relator)
 
     def mul(self, a, b):
         return self._canon(a + b)
@@ -614,9 +620,9 @@ class FreeProductGroup(GroupHandle):
 
     identity = ()
 
-    def __init__(self, spec: GroupSpec, **kwargs):
+    def __init__(self, spec: GroupSpec):
         super().__init__(spec)
-        self.factor_handles = tuple(make_group(f, **kwargs) for f in spec.factors)
+        self.factor_handles = tuple(make_group(f) for f in spec.factors)
 
     def mul(self, a, b):
         left = list(a)
@@ -665,9 +671,9 @@ class FreeProductGroup(GroupHandle):
 class DirectProductWithZ(GroupHandle):
     """Direct product Z x inner, elements (n, inner element)."""
 
-    def __init__(self, spec: GroupSpec, **kwargs):
+    def __init__(self, spec: GroupSpec):
         super().__init__(spec)
-        self.inner = make_group(spec.inner, **kwargs)
+        self.inner = make_group(spec.inner)
         self.identity = (0, self.inner.identity)
         used = {name for name, _ in self.inner._letters()}
         self._z_name = next(c for c in ("t", "z", "s", "w", "u", "v") if c not in used)
@@ -714,11 +720,6 @@ _HANDLE_CLASSES = {
 }
 
 
-def make_group(spec: GroupSpec, closure_budget: int = DEFAULT_CLOSURE_BUDGET) -> GroupHandle:
+def make_group(spec: GroupSpec) -> GroupHandle:
     """Build the arithmetic handle for a validated spec."""
-    cls = _HANDLE_CLASSES[spec.family]
-    if spec.family == "surface":
-        return cls(spec, closure_budget=closure_budget)
-    if spec.family in ("free_product", "direct_product_with_Z"):
-        return cls(spec, closure_budget=closure_budget)
-    return cls(spec)
+    return _HANDLE_CLASSES[spec.family](spec)

@@ -13,7 +13,7 @@ linear-time detection of long relator subwords:
 
 Iterating the first move is Dehn's algorithm and decides the word problem.
 The second move generates the length-preserving closure used for canonical
-keys.
+forms.
 """
 
 from __future__ import annotations

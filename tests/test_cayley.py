@@ -12,6 +12,7 @@ from groupgrowth import (
     make_group,
     search_generating_sets,
 )
+from groupgrowth import groups
 from groupgrowth.cayley import GrowthTable, table_csv_rows
 
 import oracles
@@ -77,6 +78,10 @@ def test_trivial_group_table():
         (GroupSpec.free_product(GroupSpec.cyclic(2), GroupSpec.cyclic(3)), 6),
         (GroupSpec.surface(2), 3),
         (GroupSpec.direct_product_with_Z(GroupSpec.free(1)), 6),
+        (GroupSpec.cyclic(6), 5),
+        (GroupSpec.trivial(), 3),
+        (GroupSpec.free_product(GroupSpec.cyclic(2), GroupSpec.cyclic(2), GroupSpec.cyclic(2)), 6),
+        (GroupSpec.direct_product_with_Z(GroupSpec.heisenberg()), 5),
     ],
     ids=lambda v: v.describe() if isinstance(v, GroupSpec) else str(v),
 )
@@ -122,6 +127,29 @@ def test_element_budget_truncates():
     assert table.gamma == (1, 5, 17)  # last fully enumerated sphere
 
 
+def test_element_budget_stops_inside_the_overflowing_sphere():
+    handle = make_group(GroupSpec.free(2))
+    gens = handle.default_generators()
+    products = 0
+    mul = handle.mul
+
+    def counting_mul(a, b):
+        nonlocal products
+        products += 1
+        return mul(a, b)
+
+    handle.mul = counting_mul
+    table = growth_table(handle, gens, 8, max_elements=30)
+    assert not table.complete
+    assert table.gamma == (1, 5, 17)
+    # spheres 1 and 2 take 4 + 4*4 products; sphere 3 would take 12*4 more,
+    # but the cap of 30 is passed after its 14th new element
+    assert 4 + 16 < products < 4 + 16 + 48
+    products = 0
+    assert growth_table(handle, gens, 3).gamma == (1, 5, 17, 53)
+    assert products == 4 + 16 + 48
+
+
 def test_zero_time_budget():
     _, table = default_table(GroupSpec.free(2), 3, max_seconds=0.0)
     assert not table.complete
@@ -134,21 +162,27 @@ def test_rerun_determinism(free2_k8):
     assert again == free2_k8  # budget_used excluded from comparison
 
 
-# --- surface slow path ----------------------------------------------------------
+# --- surface payloads in composite groups -----------------------------------------
 
 
-def test_slow_path_matches_fast_path(surface2_k4):
-    handle = make_group(GroupSpec.surface(2), closure_budget=1)
-    table = growth_table(handle, handle.default_generators(), 4)
-    assert table.slow_path
-    assert table.complete
-    assert table.gamma == surface2_k4.gamma
-    assert not surface2_k4.slow_path
+def test_z_x_surface2_is_z_ball_convolution_of_dehn_classes(seifert2_k4):
+    # |(n, g)| = |n| + |g|, so gamma(k) = sum_j sigma_surface(j) * (2(k-j) + 1);
+    # the class counts come from pairwise Dehn equality, and k=4 is the first
+    # radius where the relator identifies distinct geodesic words
+    balls = [oracles.surface_class_count(2, j)[0] for j in range(5)]
+    sigma = [1] + [balls[j] - balls[j - 1] for j in range(1, 5)]
+    expected = tuple(
+        sum(sigma[j] * (2 * (k - j) + 1) for j in range(k + 1)) for k in range(5)
+    )
+    assert seifert2_k4.gamma == expected
 
 
-def test_budget_exhaustion_propagates_from_compound_groups():
-    spec = GroupSpec.direct_product_with_Z(GroupSpec.surface(2))
-    handle = make_group(spec, closure_budget=1)
+def test_budget_exhaustion_propagates_from_compound_groups(monkeypatch):
+    def exhausted(*args):
+        raise ClosureBudgetExceeded("geodesic closure exceeded 20000 words")
+
+    monkeypatch.setattr(groups, "surface_canonical", exhausted)
+    handle = make_group(GroupSpec.direct_product_with_Z(GroupSpec.surface(2)))
     with pytest.raises(ClosureBudgetExceeded):
         growth_table(handle, handle.default_generators(), 4)
 
@@ -158,15 +192,24 @@ def test_budget_exhaustion_propagates_from_compound_groups():
 
 def test_ball_elements_order_and_counts(free2_k8):
     handle = make_group(GroupSpec.free(2))
-    gens = handle.default_generators()
-    els = ball_elements(handle, gens, 2)
+    els = ball_elements(handle, handle.default_generators(), 2)
     assert len(els) == free2_k8.gamma[2]
     assert els[0] == ()
-    # spheres come out in distance order, sorted by canonical key inside
-    sphere1 = els[1:5]
-    assert sphere1 == sorted(sphere1, key=handle.canonical_key)
-    assert set(sphere1) == {(1,), (-1,), (2,), (-2,)}
-    assert len(set(els)) == len(els)
+    assert set(els[1:5]) == {(1,), (-1,), (2,), (-2,)}
+    for spec in (
+        GroupSpec.free(2),
+        GroupSpec.heisenberg(),
+        GroupSpec.free_product(GroupSpec.cyclic(2), GroupSpec.cyclic(3)),
+    ):
+        handle, table = default_table(spec, 4)
+        els = ball_elements(handle, handle.default_generators(), 4)
+        assert len(els) == table.gamma[4]
+        assert len(set(els)) == len(els)
+        assert els[0] == handle.identity
+        # spheres come out in distance order, sorted by canonical key inside
+        for k in range(1, 5):
+            sphere = els[table.gamma[k - 1] : table.gamma[k]]
+            assert sphere == sorted(sphere, key=handle.canonical_key)
 
 
 def test_ball_radius_zero():

@@ -284,6 +284,51 @@ def test_bad_window_exits_two(free2_spec, capsys):
     assert code == 2
 
 
+def test_bool_spec_parameter_exits_two(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"family": "cyclic", "params": {"m": True}}))
+    code, out, err = run(["growth", "--spec", str(bad), "--kmax", "3"], capsys)
+    assert code == 2
+    assert out == ""
+
+
+@pytest.mark.parametrize("entries", [[5], [[2, 1]], [["a", 1, 0.3]]], ids=str)
+def test_malformed_bcg_table_exits_two(tmp_path, capsys, entries):
+    table = tmp_path / "bcg.json"
+    table.write_text(json.dumps(entries))
+    for argv in (["universal", "--bcg", str(table)], ["bound", "--theorem", "bcg", "--bcg", str(table)]):
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert err.startswith("error: BCG table entries") and err.count("\n") == 1
+
+
+def test_verify_kmax_below_one_exits_two(tb_spec, capsys):
+    code, out, err = run(["verify", "--spec", tb_spec, "--kmax", "0"], capsys)
+    assert code == 2
+    assert "--kmax must be >= 1" in err
+    code, out, err = run(["verify", "--spec", tb_spec, "--kmax", "3", "--max-elements", "1"], capsys)
+    assert code == 2
+    assert "budget ran out before sphere 1" in err
+
+
+def test_closure_budget_exhaustion_exits_two(tmp_path, capsys, monkeypatch):
+    from groupgrowth import groups
+    from groupgrowth.errors import ClosureBudgetExceeded
+
+    def exhausted(*args):
+        raise ClosureBudgetExceeded("geodesic closure exceeded 20000 words")
+
+    monkeypatch.setattr(groups, "surface_canonical", exhausted)
+    spec = tmp_path / "zs2.json"
+    spec.write_text(json.dumps(
+        {"family": "direct_product_with_Z", "params": {"inner": {"family": "surface", "params": {"genus": 2}}}}
+    ))
+    code, out, err = run(["growth", "--spec", str(spec), "--kmax", "4"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: geodesic closure exceeded 20000 words\n"
+
+
 # --- determinism ------------------------------------------------------------------
 
 

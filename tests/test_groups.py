@@ -60,6 +60,29 @@ def test_invalid_specs_rejected():
         GroupSpec.from_dict({"family": "nope", "params": {}})
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"family": "cyclic", "params": {"m": True}},
+        {"family": "free", "params": {"n": True}},
+        {"family": "free_abelian", "params": {"n": True}},
+        {"family": "surface", "params": {"genus": True}},
+    ],
+    ids=lambda d: d["family"],
+)
+def test_bool_parameters_rejected(data):
+    with pytest.raises(InvalidSpec):
+        GroupSpec.from_dict(data)
+
+
+def test_torus_bundle_matrix_given_as_rows():
+    spec = GroupSpec("torus_bundle", matrix=[[2, 1], [1, 1]])
+    assert spec == GroupSpec.torus_bundle(MatrixZ2(2, 1, 1, 1))
+    assert hash(spec) == hash(GroupSpec.torus_bundle(MatrixZ2(2, 1, 1, 1)))
+    with pytest.raises(InvalidSpec):
+        GroupSpec("torus_bundle", matrix=[[2, 1], [1]])
+
+
 def test_matrix_validation():
     with pytest.raises(InvalidSpec):
         MatrixZ2.from_rows(((1, 2), (3,)))
