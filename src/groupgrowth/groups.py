@@ -34,6 +34,13 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _as_tuple(value, what: str) -> tuple:
+    """A list or tuple of child specs as a tuple, so the parent spec stays hashable."""
+    if not isinstance(value, (list, tuple)):
+        raise InvalidSpec(f"{what} must be a list, got {value!r}")
+    return tuple(value)
+
+
 def _letter_names(n: int) -> list[str]:
     if n <= len(_ALPHABET):
         return [_ALPHABET[i] for i in range(n)]
@@ -139,9 +146,12 @@ class GroupSpec:
             if abs(self.matrix.det()) != 1:
                 raise InvalidSpec(f"torus_bundle matrix must have |det| = 1, got det {self.matrix.det()}")
         if self.family == "free_product":
+            object.__setattr__(self, "factors", _as_tuple(self.factors, "free_product factors"))
             if len(self.factors) < 2:
                 raise InvalidSpec("free_product needs at least two factors")
             for f in self.factors:
+                if not isinstance(f, GroupSpec):
+                    raise InvalidSpec(f"free_product factors must be group specs, got {f!r}")
                 if group_order(f).m == 1:
                     raise InvalidSpec("free_product factors must be non-trivial")
 
@@ -230,7 +240,8 @@ class GroupSpec:
             elif family == "torus_bundle":
                 kwargs["matrix"] = params["matrix"]
             elif family == "free_product":
-                kwargs["factors"] = tuple(cls.from_dict(f) for f in params["factors"])
+                factors = _as_tuple(params["factors"], "free_product factors")
+                kwargs["factors"] = tuple(cls.from_dict(f) for f in factors)
             elif family == "direct_product_with_Z":
                 kwargs["inner"] = cls.from_dict(params["inner"])
         except KeyError as exc:

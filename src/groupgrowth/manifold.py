@@ -22,7 +22,7 @@ from .bounds import (
     osin_bound,
 )
 from .errors import InvalidSpec, NoEnumerableGroup
-from .groups import GroupOrder, GroupSpec, MatrixZ2, group_order
+from .groups import GroupOrder, GroupSpec, MatrixZ2, _as_tuple, _is_int, group_order
 
 KINDS = (
     "connected_sum",
@@ -68,8 +68,12 @@ class ManifoldSpec:
             elif value is not None:
                 raise InvalidSpec(f"{self.kind} takes no parameter {name!r}")
         if self.kind == "connected_sum":
-            if self.s2xs1_count < 0:
-                raise InvalidSpec("s2xs1_count must be >= 0")
+            object.__setattr__(self, "summands", _as_tuple(self.summands, "connected_sum summands"))
+            for s in self.summands:
+                if not isinstance(s, ManifoldSpec):
+                    raise InvalidSpec(f"connected_sum summands must be manifold specs, got {s!r}")
+            if not _is_int(self.s2xs1_count) or self.s2xs1_count < 0:
+                raise InvalidSpec(f"s2xs1_count must be an integer >= 0, got {self.s2xs1_count!r}")
             if len(self.summands) + self.s2xs1_count < 2:
                 raise InvalidSpec("a connected sum needs at least two pieces")
         if self.kind == "hyperbolic_torus_bundle" and not is_hyperbolic(self.matrix):
@@ -77,11 +81,9 @@ class ManifoldSpec:
                 f"matrix {self.matrix.rows()} is not hyperbolic "
                 "(need |det| = 1 and no eigenvalue of modulus one)"
             )
-        if self.kind == "seifert_product_circle_times_surface" and (
-            not isinstance(self.g, int) or self.g < 2
-        ):
+        if self.kind == "seifert_product_circle_times_surface" and (not _is_int(self.g) or self.g < 2):
             raise InvalidSpec(f"base surface genus must be >= 2, got {self.g!r}")
-        if self.kind in ("spherical", "lens_like") and (not isinstance(self.m, int) or self.m < 1):
+        if self.kind in ("spherical", "lens_like") and (not _is_int(self.m) or self.m < 1):
             raise InvalidSpec(f"quotient order must be >= 1, got {self.m!r}")
 
     # -- constructors ------------------------------------------------------
@@ -153,7 +155,8 @@ class ManifoldSpec:
         kwargs: dict = {"label": data.get("label")}
         try:
             if kind == "connected_sum":
-                kwargs["summands"] = tuple(cls.from_dict(s) for s in params["summands"])
+                summands = _as_tuple(params["summands"], "connected_sum summands")
+                kwargs["summands"] = tuple(cls.from_dict(s) for s in summands)
                 kwargs["s2xs1_count"] = params.get("s2xs1_count", 0)
             elif kind == "hyperbolic_torus_bundle":
                 kwargs["matrix"] = MatrixZ2.from_rows(params["matrix"])

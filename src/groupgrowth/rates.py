@@ -9,9 +9,8 @@ Ratio and least-squares estimates are heuristics layered on the same data.
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
-
-import numpy as np
 
 from .cayley import GrowthTable
 from .errors import DegenerateSphere, DomainError, FitRejected, WindowTooSmall
@@ -56,6 +55,17 @@ def _trailing_ratios(table: GrowthTable, lo: int, hi: int) -> list[float] | None
     return out
 
 
+def _log_gamma_slope(table: GrowthTable, lo: int, hi: int, x) -> float:
+    """Least-squares slope of log gamma(k) against x(k) for k = lo..hi."""
+    ks = range(lo, hi + 1)
+    logs = [math.log(table.gamma[k]) for k in ks]
+    return statistics.linear_regression([x(k) for k in ks], logs).slope
+
+
+def _verdict_label(verdict: str, degree: int | None) -> str:
+    return verdict if degree is None else f"polynomial({degree})"
+
+
 @dataclass(frozen=True)
 class DegreeEstimate:
     loglog_slope: float
@@ -65,9 +75,7 @@ class DegreeEstimate:
     window: tuple[int, int]
 
     def verdict_label(self) -> str:
-        if self.verdict == "polynomial":
-            return f"polynomial({self.degree})"
-        return self.verdict
+        return _verdict_label(self.verdict, self.degree)
 
 
 def poly_degree(table: GrowthTable, window) -> DegreeEstimate:
@@ -78,9 +86,7 @@ def poly_degree(table: GrowthTable, window) -> DegreeEstimate:
     and inconclusive in between.
     """
     lo, hi = _check_window(table, window)
-    ks = np.arange(lo, hi + 1)
-    logs = np.log([float(table.gamma[k]) for k in ks])
-    slope = float(np.polyfit(np.log(ks), logs, 1)[0])
+    slope = _log_gamma_slope(table, lo, hi, math.log)
 
     doubling = None
     for k in range(hi, 0, -1):
@@ -114,10 +120,7 @@ def extrapolate_rate(table: GrowthTable, window) -> float:
             f"window [{lo},{hi}] looks polynomial of degree {estimate.degree}; "
             "an exponential fit would be meaningless"
         )
-    ks = np.arange(lo, hi + 1)
-    logs = np.log([float(table.gamma[k]) for k in ks])
-    slope = float(np.polyfit(ks, logs, 1)[0])
-    return math.exp(slope)
+    return math.exp(_log_gamma_slope(table, lo, hi, float))
 
 
 def entropy_of(omega: float) -> float:
@@ -139,14 +142,13 @@ class RateEstimates:
     extrapolated_rate: float | None
 
     def to_dict(self) -> dict:
-        label = self.verdict if self.degree is None else f"polynomial({self.degree})"
         return {
             "root_bounds": [_round12(u) for u in self.root_bounds],
             "ratios": [_round12(r) for r in self.ratios],
             "inf_root": _round12(self.inf_root),
             "entropy": _round12(self.entropy),
             "window": None if self.window is None else list(self.window),
-            "verdict": label,
+            "verdict": _verdict_label(self.verdict, self.degree),
             "extrapolated_rate": None
             if self.extrapolated_rate is None
             else _round12(self.extrapolated_rate),
@@ -190,9 +192,7 @@ def estimate_rates(table: GrowthTable, window=None) -> RateEstimates:
         verdict = estimate.verdict
         degree = estimate.degree
         if verdict != "polynomial":
-            ks = np.arange(win[0], win[1] + 1)
-            logs = np.log([float(table.gamma[k]) for k in ks])
-            extrapolated = math.exp(float(np.polyfit(ks, logs, 1)[0]))
+            extrapolated = extrapolate_rate(table, win)
     return RateEstimates(
         root_bounds=tuple(roots),
         ratios=tuple(ratios),

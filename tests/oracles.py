@@ -6,6 +6,7 @@ reducer that scans every relator variant at every position, and closed-form
 ball sizes for the families that have them.
 """
 
+from fractions import Fraction
 from itertools import product
 
 
@@ -194,3 +195,18 @@ def heisenberg_mul(a, b):
 def all_int_matrices(bound):
     rng = range(-bound, bound + 1)
     return product(rng, rng, rng, rng)
+
+
+def least_squares_slope(xs, ys):
+    """Slope of the least-squares line through the points, from the normal equations.
+
+    Every float converts to a Fraction exactly, so the one rounding is the
+    final conversion of the quotient back to float.
+    """
+    xs = [Fraction(x) for x in xs]
+    ys = [Fraction(y) for y in ys]
+    n = len(xs)
+    sx, sy = sum(xs), sum(ys)
+    sxy = sum(x * y for x, y in zip(xs, ys))
+    sxx = sum(x * x for x in xs)
+    return float((n * sxy - sx * sy) / (n * sxx - sx * sx))

@@ -257,12 +257,31 @@ def test_malformed_json_exits_two(tmp_path, capsys):
     assert code == 2
 
 
-def test_invalid_spec_exits_two(tmp_path, capsys):
+THREE_TORUS = {"kind": "three_torus"}
+
+
+@pytest.mark.parametrize(
+    "argv, spec, word",
+    [
+        (["growth", "--kmax", "3"], {"family": "surface", "params": {"genus": 1}}, "genus"),
+        (["growth", "--kmax", "3"], {"family": "free_product", "params": {"factors": 5}}, "factors"),
+        (["classify"], {"kind": "connected_sum", "params": {"summands": 5}}, "summands"),
+        (
+            ["classify"],
+            {"kind": "connected_sum", "params": {"summands": [THREE_TORUS] * 2, "s2xs1_count": "x"}},
+            "s2xs1_count",
+        ),
+    ],
+    ids=["genus", "factors", "summands", "s2xs1_count"],
+)
+def test_invalid_spec_exits_two(tmp_path, capsys, argv, spec, word):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"family": "surface", "params": {"genus": 1}}))
-    code, out, err = run(["growth", "--spec", str(bad), "--kmax", "3"], capsys)
+    bad.write_text(json.dumps(spec))
+    code, out, err = run(argv + ["--spec", str(bad)], capsys)
     assert code == 2
-    assert "genus" in err
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert word in err
 
 
 def test_bad_matrix_string_exits_two(capsys):
@@ -286,10 +305,14 @@ def test_bad_window_exits_two(free2_spec, capsys):
 
 def test_bool_spec_parameter_exits_two(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"family": "cyclic", "params": {"m": True}}))
-    code, out, err = run(["growth", "--spec", str(bad), "--kmax", "3"], capsys)
-    assert code == 2
-    assert out == ""
+    for argv, spec in (
+        (["growth", "--kmax", "3"], {"family": "cyclic", "params": {"m": True}}),
+        (["classify"], {"kind": "spherical", "params": {"m": True}}),
+    ):
+        bad.write_text(json.dumps(spec))
+        code, out, err = run(argv + ["--spec", str(bad)], capsys)
+        assert code == 2
+        assert out == ""
 
 
 @pytest.mark.parametrize("entries", [[5], [[2, 1]], [["a", 1, 0.3]]], ids=str)

@@ -11,6 +11,7 @@ from groupgrowth import (
     MatrixZ2,
     ball_elements,
     group_order,
+    growth_table,
     make_generating_set,
     make_group,
 )
@@ -81,6 +82,21 @@ def test_torus_bundle_matrix_given_as_rows():
     assert hash(spec) == hash(GroupSpec.torus_bundle(MatrixZ2(2, 1, 1, 1)))
     with pytest.raises(InvalidSpec):
         GroupSpec("torus_bundle", matrix=[[2, 1], [1]])
+
+
+def test_free_product_factors_given_as_list():
+    c2, c3 = GroupSpec.cyclic(2), GroupSpec.cyclic(3)
+    spec, ref = GroupSpec("free_product", factors=[c2, c3]), GroupSpec.free_product(c2, c3)
+    assert spec == ref and hash(spec) == hash(ref)
+    tables = []
+    for s in (spec, ref):
+        handle = make_group(s)
+        tables.append(growth_table(handle, handle.default_generators(), 3))
+    assert tables[0] == tables[1] and hash(tables[0]) == hash(tables[1])
+    with pytest.raises(InvalidSpec):
+        GroupSpec("free_product", factors=5)
+    with pytest.raises(InvalidSpec):
+        GroupSpec("free_product", factors=[2, 3])
 
 
 def test_matrix_validation():

@@ -58,6 +58,31 @@ def test_manifold_validation():
         ManifoldSpec.from_dict({"kind": "mystery", "params": {}})
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"kind": "spherical", "params": {"m": True}},
+        {"kind": "lens_like", "params": {"m": True}},
+        {"kind": "seifert_product_circle_times_surface", "params": {"g": True}},
+        {"kind": "connected_sum", "params": {"summands": [{"kind": "three_torus"}] * 2, "s2xs1_count": True}},
+    ],
+    ids=lambda d: d["kind"],
+)
+def test_bool_parameters_rejected(data):
+    with pytest.raises(InvalidSpec):
+        ManifoldSpec.from_dict(data)
+
+
+def test_connected_sum_summands_given_as_list():
+    pieces = [ManifoldSpec.spherical(5), ManifoldSpec.three_torus()]
+    spec, ref = ManifoldSpec("connected_sum", summands=pieces, s2xs1_count=0), ManifoldSpec.connected_sum(pieces)
+    assert spec == ref and hash(spec) == hash(ref)
+    with pytest.raises(InvalidSpec):
+        ManifoldSpec("connected_sum", summands=5, s2xs1_count=2)
+    with pytest.raises(InvalidSpec):
+        ManifoldSpec("connected_sum", summands=[1, 2], s2xs1_count=0)
+
+
 @pytest.mark.parametrize("manifold", ALL_MANIFOLDS, ids=lambda m: m.kind)
 def test_manifold_dict_roundtrip(manifold):
     assert ManifoldSpec.from_dict(manifold.to_dict()) == manifold

@@ -1,7 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import groupgrowth
+import oracles
 from groupgrowth import (
     DegenerateSphere,
     DomainError,
@@ -111,6 +116,35 @@ def test_extrapolate_rejects_polynomial_tables(dihedral_k50, z2_k30):
         extrapolate_rate(dihedral_k50, (10, 50))
     with pytest.raises(FitRejected):
         extrapolate_rate(z2_k30, (10, 30))
+
+
+# --- least-squares fits against the exact oracle ---------------------------------
+
+
+@pytest.mark.parametrize("name", ["free2_k8", "heisenberg_k40", "fp23_k8", "torus_bundle_k12"])
+def test_fits_match_exact_least_squares(request, name):
+    table = request.getfixturevalue(name)
+    for lo, hi in ((2, 5), (table.kmax // 2, table.kmax)):
+        ks = range(lo, hi + 1)
+        logs = [math.log(table.gamma[k]) for k in ks]
+        estimate = poly_degree(table, (lo, hi))
+        loglog = oracles.least_squares_slope([math.log(k) for k in ks], logs)
+        assert estimate.loglog_slope == pytest.approx(loglog, rel=1e-12)
+        if estimate.verdict == "polynomial":
+            with pytest.raises(FitRejected):
+                extrapolate_rate(table, (lo, hi))
+        else:
+            rate = math.exp(oracles.least_squares_slope(list(ks), logs))
+            assert extrapolate_rate(table, (lo, hi)) == pytest.approx(rate, rel=1e-12)
+
+
+def test_cli_import_leaves_numpy_out():
+    # a fresh interpreter, so no other test's imports leak into sys.modules
+    src = os.path.dirname(os.path.dirname(groupgrowth.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, groupgrowth.cli; print('numpy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert result.stdout.strip() == "False"
 
 
 # --- entropy -----------------------------------------------------------------------
