@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidSpec, InvalidGenus
 from .surface import SurfaceRelator, dehn_reduce, surface_canonical
-from .words import free_reduce, format_word, invert
+from .words import cancel_seam, free_reduce, format_word, invert
 
 FAMILIES = (
     "trivial",
@@ -39,6 +39,12 @@ def _as_tuple(value, what: str) -> tuple:
     if not isinstance(value, (list, tuple)):
         raise InvalidSpec(f"{what} must be a list, got {value!r}")
     return tuple(value)
+
+
+def _check_label(label) -> None:
+    """A label is a string or absent; anything else would leave the spec unhashable."""
+    if label is not None and not isinstance(label, str):
+        raise InvalidSpec(f"label must be a string, got {label!r}")
 
 
 def _letter_names(n: int) -> list[str]:
@@ -117,6 +123,7 @@ class GroupSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise InvalidSpec(f"unknown family {self.family!r}")
+        _check_label(self.label)
         allowed = {
             "cyclic": ("m",),
             "free": ("n",),
@@ -154,6 +161,8 @@ class GroupSpec:
                     raise InvalidSpec(f"free_product factors must be group specs, got {f!r}")
                 if group_order(f).m == 1:
                     raise InvalidSpec("free_product factors must be non-trivial")
+        if self.family == "direct_product_with_Z" and not isinstance(self.inner, GroupSpec):
+            raise InvalidSpec(f"direct_product_with_Z inner must be a group spec, got {self.inner!r}")
 
     # -- constructors ------------------------------------------------------
 
@@ -546,6 +555,15 @@ class SurfaceGroup(GroupHandle):
 
     Elements are canonical geodesic words: Dehn-reduced, then minimized over
     the half-relator swap closure.
+
+    Most free-reduced words are already canonical, and that is cheap to
+    recognise exactly: if no length-2g window of the word is a half of the
+    relator (a key of ``SurfaceRelator._half_swap``), Dehn's algorithm has
+    nothing to replace, since every match longer than half starts with such
+    a window, and the half-swap closure is the word alone, since the swaps
+    act on exactly those windows.  So ``_normal`` returns such a word as it
+    is and runs ``surface_canonical(dehn_reduce(w))`` only when a window
+    matches.
     """
 
     identity = ()
@@ -559,11 +577,19 @@ class SurfaceGroup(GroupHandle):
             self._names.extend([f"a{i}", f"b{i}"])
 
     def _canon(self, word):
-        reduced = dehn_reduce(free_reduce(word), self.relator)
-        return surface_canonical(reduced, self.relator)
+        return self._normal(free_reduce(word))
+
+    def _normal(self, w):
+        """Canonical form of the free-reduced word ``w``."""
+        half, halves = self.relator.half, self.relator._half_swap
+        for i in range(len(w) - half + 1):
+            if w[i : i + half] in halves:
+                return surface_canonical(dehn_reduce(w, self.relator), self.relator)
+        return w
 
     def mul(self, a, b):
-        return self._canon(a + b)
+        # canonical payloads are free-reduced, so only the seam can cancel
+        return self._normal(cancel_seam(a, b))
 
     def inv(self, a):
         return self._canon(invert(a))

@@ -22,7 +22,7 @@ from .bounds import (
     osin_bound,
 )
 from .errors import InvalidSpec, NoEnumerableGroup
-from .groups import GroupOrder, GroupSpec, MatrixZ2, _as_tuple, _is_int, group_order
+from .groups import GroupOrder, GroupSpec, MatrixZ2, _as_tuple, _check_label, _is_int, group_order
 
 KINDS = (
     "connected_sum",
@@ -53,6 +53,7 @@ class ManifoldSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise InvalidSpec(f"unknown manifold kind {self.kind!r}")
+        _check_label(self.label)
         allowed = {
             "connected_sum": ("summands", "s2xs1_count"),
             "hyperbolic_torus_bundle": ("matrix",),

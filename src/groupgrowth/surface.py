@@ -14,6 +14,13 @@ linear-time detection of long relator subwords:
 Iterating the first move is Dehn's algorithm and decides the word problem.
 The second move generates the length-preserving closure used for canonical
 forms.
+
+Both moves start at a length-2g window that is a key of
+``SurfaceRelator._half_swap``: a match longer than half begins with one, and
+the swaps act on exactly those windows.  A free-reduced word with no such
+window is therefore its own canonical form: ``dehn_reduce`` returns it
+unchanged and its closure is the word alone.  ``SurfaceGroup`` in
+``groups`` uses this to skip both functions on almost every product.
 """
 
 from __future__ import annotations

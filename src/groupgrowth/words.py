@@ -26,6 +26,21 @@ def free_reduce(word) -> Word:
     return tuple(out)
 
 
+def cancel_seam(a: Word, b: Word) -> Word:
+    """Free reduction of ``a + b``, cancelling only where the two words meet.
+
+    Precondition: ``a`` and ``b`` are both free-reduced tuples.  Then the
+    only inverse pairs in ``a + b`` sit across the seam, and peeling them off
+    from the seam outwards gives exactly ``free_reduce(a + b)``.  On a word
+    that is not free-reduced the result may keep inverse pairs.
+    """
+    i, j = len(a), 0
+    while i and j < len(b) and a[i - 1] == -b[j]:
+        i -= 1
+        j += 1
+    return a[:i] + b[j:]
+
+
 def invert(word) -> Word:
     return tuple(-x for x in reversed(word))
 

@@ -271,8 +271,13 @@ THREE_TORUS = {"kind": "three_torus"}
             {"kind": "connected_sum", "params": {"summands": [THREE_TORUS] * 2, "s2xs1_count": "x"}},
             "s2xs1_count",
         ),
+        (["growth", "--kmax", "3"], {"family": "free", "params": {"n": 2}, "label": ["x"]}, "label"),
+        (["growth", "--kmax", "3"], {"family": "free", "params": {"n": 2}, "label": {"x": 1}}, "label"),
+        (["classify"], {**THREE_TORUS, "label": ["x"]}, "label"),
+        (["classify"], {**THREE_TORUS, "label": {"x": 1}}, "label"),
     ],
-    ids=["genus", "factors", "summands", "s2xs1_count"],
+    ids=["genus", "factors", "summands", "s2xs1_count", "growth-list-label", "growth-dict-label",
+         "classify-list-label", "classify-dict-label"],
 )
 def test_invalid_spec_exits_two(tmp_path, capsys, argv, spec, word):
     bad = tmp_path / "bad.json"

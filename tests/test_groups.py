@@ -15,6 +15,8 @@ from groupgrowth import (
     make_generating_set,
     make_group,
 )
+from groupgrowth.surface import SurfaceRelator, dehn_reduce, surface_canonical
+from groupgrowth.words import free_reduce, invert
 
 import oracles
 
@@ -59,6 +61,10 @@ def test_invalid_specs_rejected():
         GroupSpec.free_product(GroupSpec.cyclic(2), GroupSpec.trivial())
     with pytest.raises(InvalidSpec):
         GroupSpec.from_dict({"family": "nope", "params": {}})
+    with pytest.raises(InvalidSpec, match="inner"):
+        GroupSpec("direct_product_with_Z", inner=5)
+    with pytest.raises(InvalidSpec, match="label"):
+        GroupSpec.free(2, label=3)
 
 
 @pytest.mark.parametrize(
@@ -348,3 +354,49 @@ def test_describe_strings():
     assert GroupSpec.direct_product_with_Z(GroupSpec.surface(2)).describe() == (
         "Z x (surface(2))"
     )
+
+
+# --- surface normal-form shortcut --------------------------------------------
+# The old path, surface_canonical(dehn_reduce(free_reduce(w))), is the oracle
+# for SurfaceGroup, which skips it for words holding no half of the relator.
+
+
+def _surface_oracle(handle, word):
+    return surface_canonical(dehn_reduce(free_reduce(word), handle.relator), handle.relator)
+
+
+@pytest.mark.parametrize("genus, radius", [(2, 4), (3, 3)])
+def test_surface_mul_matches_full_canonicalization(genus, radius):
+    handle = make_group(GroupSpec.surface(genus))
+    gens = handle.default_generators()
+    for a in ball_elements(handle, gens, radius):
+        for s in gens.elements:
+            assert handle.mul(a, s) == _surface_oracle(handle, a + s)
+
+
+def _surface_words(genus):
+    """Words mixing single letters with relator halves and their complements,
+    so that both the shortcut and the full canonicalization get exercised."""
+    relator = SurfaceRelator(genus)
+    n = 2 * genus
+    pieces = [(x,) for x in range(-n, n + 1) if x] + [v[: relator.half] for v in relator.variants]
+    pieces += [v[relator.half - 1 :] for v in relator.variants]
+    return st.lists(st.sampled_from(pieces), max_size=6).map(lambda ps: sum(ps, ()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_surface_canon_and_inv_match_full_canonicalization(data):
+    genus = data.draw(st.sampled_from([2, 3]))
+    handle = make_group(GroupSpec.surface(genus))
+    word = data.draw(_surface_words(genus))
+    canon = handle._canon(word)
+    assert canon == _surface_oracle(handle, word)
+    assert handle.inv(canon) == _surface_oracle(handle, invert(canon))
+
+
+def test_surface_mul_takes_the_full_path_on_a_relator_half():
+    handle = make_group(GroupSpec.surface(2))
+    # b2 a2 b2' a2' is half of a cyclic variant of the relator; its canonical
+    # form is the other half inverted, a1 b1 a1' b1'
+    assert handle.mul((4, 3, -4), (-3,)) == (1, 2, -1, -2)

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from groupgrowth.words import (
+    cancel_seam,
     free_reduce,
     format_word,
     invert,
@@ -41,6 +42,13 @@ def test_free_reduce_no_adjacent_inverse_pair(w):
 def test_word_times_inverse_is_trivial(w):
     assert free_reduce(w + invert(w)) == ()
     assert invert(invert(w)) == tuple(w)
+
+
+@given(words, words, words)
+def test_cancel_seam_equals_free_reduce_on_reduced_words(u, v, c):
+    # the shared middle c makes the seam cancel several letters deep
+    a, b = free_reduce(u + c), free_reduce(invert(c) + v)
+    assert cancel_seam(a, b) == free_reduce(a + b)
 
 
 def test_letter_rank_order():
