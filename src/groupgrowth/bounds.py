@@ -346,12 +346,22 @@ def _fmt_index(i) -> str:
 
 
 def make_bcg_table(entries) -> dict:
-    """Validate a user-supplied {(n, a): c} table of positive constants."""
+    """Validate a user-supplied {(n, a): c} table of positive constants.
+
+    Each bound is e^c, so a constant whose e^c is not a finite float (inf,
+    or large enough to overflow) is rejected as well.
+    """
     table = {}
     for key, c in dict(entries).items():
         n, a = key
         if not (isinstance(c, (int, float)) and c > 0):
             raise ValueError(f"constant for ({n}, {a}) must be positive, got {c!r}")
+        try:
+            finite = math.isfinite(math.exp(c))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError(f"constant for ({n}, {a}) must have a finite e^c, got {c!r}")
         table[(n, a)] = float(c)
     return table
 

@@ -209,8 +209,8 @@ def search_generating_sets(
     cap = generation_cap if generation_cap is not None else max(k, 4)
     t0 = time.monotonic()
 
-    pool = [el for el in ball_elements(handle, handle.default_generators(), candidate_radius)]
-    pool = [el for el in pool if handle.canonical_key(el) != b""]
+    # the ball lists the identity first; it is no candidate
+    pool = ball_elements(handle, handle.default_generators(), candidate_radius)[1:]
     pool.sort(key=handle.canonical_key)
 
     tested = 0
@@ -227,10 +227,10 @@ def search_generating_sets(
             break
         named = [(f"g{i + 1}", el) for i, el in enumerate(combo)]
         gens = make_generating_set(handle, named, symmetrize=True)
-        key_set = frozenset(handle.canonical_key(el) for el in gens.elements)
-        if key_set in seen_sets:
+        elements = frozenset(gens.elements)
+        if elements in seen_sets:
             continue
-        seen_sets.add(key_set)
+        seen_sets.add(elements)
         tested += 1
         if is_generating(handle, gens, cap) is not True:
             continue

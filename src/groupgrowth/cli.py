@@ -143,11 +143,7 @@ def _cmd_bound(args) -> int:
     elif name == "surface":
         genus = args.genus
         if genus is None and args.spec:
-            spec = _load_group_spec(args.spec)
-            if spec.family == "surface":
-                genus = spec.genus
-            elif spec.family == "direct_product_with_Z" and spec.inner.family == "surface":
-                genus = spec.inner.genus
+            genus = _surface_genus(_load_group_spec(args.spec))
         if genus is None:
             raise ValueError("--theorem surface needs --genus (or a surface group --spec)")
         report = surface_bound(genus, weak=args.weak)
@@ -177,16 +173,20 @@ def _cmd_bound(args) -> int:
     return 0
 
 
+def _surface_genus(spec: GroupSpec):
+    """Genus of a surface group or of Z x a surface group, else None."""
+    if spec.family == "direct_product_with_Z":
+        spec = spec.inner
+    return spec.genus if spec.family == "surface" else None
+
+
 def _applicable_bound(spec: GroupSpec):
     if spec.family == "free_product":
         return free_product_bound(spec.factors)
     if spec.family == "torus_bundle":
         return osin_bound(spec.matrix)
-    if spec.family == "surface":
-        return surface_bound(spec.genus)
-    if spec.family == "direct_product_with_Z" and spec.inner.family == "surface":
-        return surface_bound(spec.inner.genus)
-    return None
+    genus = _surface_genus(spec)
+    return None if genus is None else surface_bound(genus)
 
 
 def _cmd_verify(args) -> int:

@@ -8,24 +8,11 @@ encodes to the empty key.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import InvalidSpec, InvalidGenus
 from .surface import SurfaceRelator, dehn_reduce, surface_canonical
 from .words import cancel_seam, free_reduce, format_word, invert
-
-FAMILIES = (
-    "trivial",
-    "cyclic",
-    "free",
-    "free_abelian",
-    "heisenberg",
-    "klein_bottle",
-    "surface",
-    "torus_bundle",
-    "free_product",
-    "direct_product_with_Z",
-)
 
 _ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 
@@ -39,12 +26,6 @@ def _as_tuple(value, what: str) -> tuple:
     if not isinstance(value, (list, tuple)):
         raise InvalidSpec(f"{what} must be a list, got {value!r}")
     return tuple(value)
-
-
-def _check_label(label) -> None:
-    """A label is a string or absent; anything else would leave the spec unhashable."""
-    if label is not None and not isinstance(label, str):
-        raise InvalidSpec(f"label must be a string, got {label!r}")
 
 
 def _letter_names(n: int) -> list[str]:
@@ -107,8 +88,129 @@ class MatrixZ2:
         return cls(1, 0, 0, 1)
 
 
+class SpecBase:
+    """Checking, parsing and serialization shared by GroupSpec and ManifoldSpec.
+
+    A subclass declares its families in one table, ``_SCHEMA``: tag (the
+    ``family`` or ``kind``) -> the names of the parameters it takes, in JSON
+    order.  That table is the one place where a family is declared; the
+    presence check, ``to_dict`` and ``from_dict`` all read it.  Parameters
+    named in ``_CHILD`` hold one child spec of the same class, those named
+    in ``_CHILDREN`` a list of them (stored as a tuple, so the spec stays
+    hashable), and ``matrix`` holds a MatrixZ2 that may be given as rows.
+    ``from_dict`` fills omitted parameters from ``_DEFAULTS``.  Range checks
+    that concern one family stay in the subclass's ``__post_init__``.
+    """
+
+    _TAG: str  # the dataclass field that holds the tag
+    _NOUN: str  # "group" or "manifold", for messages
+    _UNKNOWN: str  # message for an unknown tag, with one {!r} slot
+    _SCHEMA: dict
+    _CHILD: tuple = ()
+    _CHILDREN: tuple = ()
+    _DEFAULTS: dict = {}
+
+    @classmethod
+    def _params_of(cls, tag) -> tuple:
+        # a tag that cannot be hashed is as unknown as a misspelled one
+        if not isinstance(tag, str) or tag not in cls._SCHEMA:
+            raise InvalidSpec(cls._UNKNOWN.format(tag))
+        return cls._SCHEMA[tag]
+
+    def __post_init__(self):
+        tag = getattr(self, self._TAG)
+        names = self._params_of(tag)
+        if self.label is not None and not isinstance(self.label, str):
+            # anything else would leave the spec unhashable
+            raise InvalidSpec(f"label must be a string, got {self.label!r}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name in names:
+                if value is None:
+                    raise InvalidSpec(f"{tag} requires parameter {f.name!r}")
+            elif value is not None and f.name not in (self._TAG, "label"):
+                raise InvalidSpec(f"{tag} takes no parameter {f.name!r}")
+        for name in names:
+            value = getattr(self, name)
+            if name == "matrix" and not isinstance(value, MatrixZ2):
+                object.__setattr__(self, name, MatrixZ2.from_rows(value))
+            elif name in self._CHILDREN:
+                value = _as_tuple(value, f"{tag} {name}")
+                object.__setattr__(self, name, value)
+                for child in value:
+                    if not isinstance(child, type(self)):
+                        raise InvalidSpec(f"{tag} {name} must be {self._NOUN} specs, got {child!r}")
+            elif name in self._CHILD and not isinstance(value, type(self)):
+                raise InvalidSpec(f"{tag} {name} must be a {self._NOUN} spec, got {value!r}")
+
+    def to_dict(self) -> dict:
+        tag = getattr(self, self._TAG)
+        params = {name: _to_json(getattr(self, name)) for name in self._SCHEMA[tag]}
+        out = {self._TAG: tag, "params": params}
+        if self.label is not None:
+            out["label"] = self.label
+        return out
+
+    @classmethod
+    def from_dict(cls, data):
+        if not isinstance(data, dict) or cls._TAG not in data:
+            raise InvalidSpec(
+                f"{cls._NOUN} spec must be an object with a {cls._TAG!r} key, got {data!r}"
+            )
+        tag = data[cls._TAG]
+        params = data.get("params", {})
+        if not isinstance(params, dict):
+            raise InvalidSpec(f"'params' must be an object, got {params!r}")
+        names = cls._params_of(tag)
+        for key in data:
+            if key not in (cls._TAG, "params", "label"):
+                raise InvalidSpec(f"{cls._NOUN} spec takes no key {key!r}")
+        for key in params:
+            if key not in names:
+                raise InvalidSpec(f"{tag} takes no parameter {key!r}")
+        kwargs: dict = {}
+        for name in names:
+            if name not in params and name not in cls._DEFAULTS:
+                raise InvalidSpec(f"{tag} spec is missing parameter {name!r}")
+            value = params.get(name, cls._DEFAULTS.get(name))
+            if name in cls._CHILD:
+                value = cls.from_dict(value)
+            elif name in cls._CHILDREN:
+                value = tuple(cls.from_dict(v) for v in _as_tuple(value, f"{tag} {name}"))
+            kwargs[name] = value
+        return cls(tag, label=data.get("label"), **kwargs)
+
+    def describe(self) -> str:
+        return self.label or getattr(self, self._TAG)
+
+
+def _to_json(value):
+    if isinstance(value, MatrixZ2):
+        return value.rows()
+    if isinstance(value, SpecBase):
+        return value.to_dict()
+    if isinstance(value, tuple):
+        return [_to_json(v) for v in value]
+    return value
+
+
+GROUP_PARAMS = {
+    "trivial": (),
+    "cyclic": ("m",),
+    "free": ("n",),
+    "free_abelian": ("n",),
+    "heisenberg": (),
+    "klein_bottle": (),
+    "surface": ("genus",),
+    "torus_bundle": ("matrix",),
+    "free_product": ("factors",),
+    "direct_product_with_Z": ("inner",),
+}
+FAMILIES = tuple(GROUP_PARAMS)
+
+
 @dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(SpecBase):
     """Declarative description of one supported group, parameters and all."""
 
     family: str
@@ -120,49 +222,29 @@ class GroupSpec:
     inner: "GroupSpec | None" = None
     label: str | None = None
 
+    _TAG = "family"
+    _NOUN = "group"
+    _UNKNOWN = "unknown family {!r}"
+    _SCHEMA = GROUP_PARAMS
+    _CHILD = ("inner",)
+    _CHILDREN = ("factors",)
+
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise InvalidSpec(f"unknown family {self.family!r}")
-        _check_label(self.label)
-        allowed = {
-            "cyclic": ("m",),
-            "free": ("n",),
-            "free_abelian": ("n",),
-            "surface": ("genus",),
-            "torus_bundle": ("matrix",),
-            "free_product": ("factors",),
-            "direct_product_with_Z": ("inner",),
-        }.get(self.family, ())
-        for name in ("m", "n", "genus", "matrix", "factors", "inner"):
-            value = getattr(self, name)
-            if name in allowed:
-                if value is None:
-                    raise InvalidSpec(f"{self.family} requires parameter {name!r}")
-            elif value is not None:
-                raise InvalidSpec(f"{self.family} takes no parameter {name!r}")
-        if self.family == "cyclic" and (not _is_int(self.m) or self.m < 1):
+        super().__post_init__()
+        family = self.family
+        if family == "cyclic" and (not _is_int(self.m) or self.m < 1):
             raise InvalidSpec(f"cyclic order must be a positive integer, got {self.m!r}")
-        if self.family in ("free", "free_abelian") and (not _is_int(self.n) or self.n < 1):
-            raise InvalidSpec(f"{self.family} rank must be >= 1, got {self.n!r}")
-        if self.family == "surface":
-            if not _is_int(self.genus) or self.genus < 2:
-                raise InvalidGenus(f"surface genus must be >= 2, got {self.genus!r}")
-        if self.family == "torus_bundle":
-            if not isinstance(self.matrix, MatrixZ2):
-                object.__setattr__(self, "matrix", MatrixZ2.from_rows(self.matrix))
-            if abs(self.matrix.det()) != 1:
-                raise InvalidSpec(f"torus_bundle matrix must have |det| = 1, got det {self.matrix.det()}")
-        if self.family == "free_product":
-            object.__setattr__(self, "factors", _as_tuple(self.factors, "free_product factors"))
+        if family in ("free", "free_abelian") and (not _is_int(self.n) or self.n < 1):
+            raise InvalidSpec(f"{family} rank must be >= 1, got {self.n!r}")
+        if family == "surface" and (not _is_int(self.genus) or self.genus < 2):
+            raise InvalidGenus(f"surface genus must be >= 2, got {self.genus!r}")
+        if family == "torus_bundle" and abs(self.matrix.det()) != 1:
+            raise InvalidSpec(f"torus_bundle matrix must have |det| = 1, got det {self.matrix.det()}")
+        if family == "free_product":
             if len(self.factors) < 2:
                 raise InvalidSpec("free_product needs at least two factors")
-            for f in self.factors:
-                if not isinstance(f, GroupSpec):
-                    raise InvalidSpec(f"free_product factors must be group specs, got {f!r}")
-                if group_order(f).m == 1:
-                    raise InvalidSpec("free_product factors must be non-trivial")
-        if self.family == "direct_product_with_Z" and not isinstance(self.inner, GroupSpec):
-            raise InvalidSpec(f"direct_product_with_Z inner must be a group spec, got {self.inner!r}")
+            if any(group_order(f).m == 1 for f in self.factors):
+                raise InvalidSpec("free_product factors must be non-trivial")
 
     # -- constructors ------------------------------------------------------
 
@@ -208,70 +290,17 @@ class GroupSpec:
     def direct_product_with_Z(cls, inner: "GroupSpec", label: str | None = None) -> "GroupSpec":
         return cls("direct_product_with_Z", inner=inner, label=label)
 
-    # -- serialization -----------------------------------------------------
-
-    def to_dict(self) -> dict:
-        params: dict = {}
-        if self.family == "cyclic":
-            params["m"] = self.m
-        elif self.family in ("free", "free_abelian"):
-            params["n"] = self.n
-        elif self.family == "surface":
-            params["genus"] = self.genus
-        elif self.family == "torus_bundle":
-            params["matrix"] = self.matrix.rows()
-        elif self.family == "free_product":
-            params["factors"] = [f.to_dict() for f in self.factors]
-        elif self.family == "direct_product_with_Z":
-            params["inner"] = self.inner.to_dict()
-        out = {"family": self.family, "params": params}
-        if self.label is not None:
-            out["label"] = self.label
-        return out
-
-    @classmethod
-    def from_dict(cls, data) -> "GroupSpec":
-        if not isinstance(data, dict) or "family" not in data:
-            raise InvalidSpec(f"group spec must be an object with a 'family' key, got {data!r}")
-        family = data["family"]
-        params = data.get("params", {})
-        if not isinstance(params, dict):
-            raise InvalidSpec(f"'params' must be an object, got {params!r}")
-        label = data.get("label")
-        kwargs: dict = {}
-        try:
-            if family == "cyclic":
-                kwargs["m"] = params["m"]
-            elif family in ("free", "free_abelian"):
-                kwargs["n"] = params["n"]
-            elif family == "surface":
-                kwargs["genus"] = params["genus"]
-            elif family == "torus_bundle":
-                kwargs["matrix"] = params["matrix"]
-            elif family == "free_product":
-                factors = _as_tuple(params["factors"], "free_product factors")
-                kwargs["factors"] = tuple(cls.from_dict(f) for f in factors)
-            elif family == "direct_product_with_Z":
-                kwargs["inner"] = cls.from_dict(params["inner"])
-        except KeyError as exc:
-            raise InvalidSpec(f"{family} spec is missing parameter {exc.args[0]!r}")
-        return cls(family, label=label, **kwargs)
-
     def describe(self) -> str:
         if self.label:
             return self.label
-        if self.family == "cyclic":
-            return f"cyclic({self.m})"
-        if self.family in ("free", "free_abelian"):
-            return f"{self.family}({self.n})"
-        if self.family == "surface":
-            return f"surface({self.genus})"
-        if self.family == "torus_bundle":
-            return f"torus_bundle({self.matrix.rows()})"
         if self.family == "free_product":
             return " * ".join(f.describe() for f in self.factors)
         if self.family == "direct_product_with_Z":
             return f"Z x ({self.inner.describe()})"
+        params = self.to_dict()["params"]
+        if params:
+            (value,) = params.values()
+            return f"{self.family}({value})"
         return self.family
 
 
@@ -318,7 +347,7 @@ class GeneratingSet:
 
 
 def make_generating_set(handle: "GroupHandle", named, symmetrize: bool = True) -> GeneratingSet:
-    """Build a generating set from (name, element) pairs, deduped by canonical key.
+    """Build a generating set from (name, element) pairs, deduped on payloads.
 
     The identity is rejected; an empty set is allowed only when the group
     itself is trivial (order one), where no generator exists to list.
@@ -326,11 +355,10 @@ def make_generating_set(handle: "GroupHandle", named, symmetrize: bool = True) -
     base = []
     seen = set()
     for name, el in named:
-        key = handle.canonical_key(el)
-        if key == b"":
+        if el == handle.identity:
             raise InvalidSpec("the identity cannot be a generator")
-        if key not in seen:
-            seen.add(key)
+        if el not in seen:
+            seen.add(el)
             base.append((name, el))
     if not base:
         order = group_order(handle.spec)
@@ -340,9 +368,8 @@ def make_generating_set(handle: "GroupHandle", named, symmetrize: bool = True) -
     if symmetrize:
         for name, el in base:
             iv = handle.inv(el)
-            key = handle.canonical_key(iv)
-            if key not in seen:
-                seen.add(key)
+            if iv not in seen:
+                seen.add(iv)
                 out.append((name + "'", iv))
     return GeneratingSet(
         elements=tuple(el for _, el in out),
@@ -354,10 +381,11 @@ def make_generating_set(handle: "GroupHandle", named, symmetrize: bool = True) -
 class GroupHandle:
     """Element arithmetic for one group family.
 
-    Elements are plain hashable payloads in canonical form.  A handle's
-    parameters are fixed at construction, but it is not immutable: it may
-    keep a memo that grows as it is used (TorusBundleGroup caches matrix
-    powers).  The memo never changes a result.
+    Elements are plain hashable payloads in canonical form, so payload
+    equality is group equality.  A handle's parameters are fixed at
+    construction, but it is not immutable: it may keep a memo that grows as
+    it is used (TorusBundleGroup caches matrix powers).  The memo never
+    changes a result.
     """
 
     identity = None
@@ -366,13 +394,24 @@ class GroupHandle:
         self.spec = spec
 
     def mul(self, a, b):
+        """Canonical payload of the product of two canonical payloads.
+
+        Both operands must be canonical, as the handle hands them out; a
+        family may rely on it (a free group cancels only at the seam).
+        """
         raise NotImplementedError
 
     def inv(self, a):
         raise NotImplementedError
 
     def canonical_key(self, a) -> bytes:
-        raise NotImplementedError
+        """Injective byte key of a payload, empty for the identity; a sort key only.
+
+        The default suits tuple-of-int payloads: their ints comma-joined.
+        """
+        if a == self.identity:
+            return b""
+        return ",".join(map(str, a)).encode()
 
     def _letters(self):
         """Unsymmetrized default generators as (name, element) pairs."""
@@ -381,11 +420,9 @@ class GroupHandle:
     def default_generators(self) -> GeneratingSet:
         return make_generating_set(self, self._letters(), symmetrize=True)
 
-    def order(self) -> GroupOrder:
-        return group_order(self.spec)
-
     def format_element(self, a) -> str:
-        raise NotImplementedError
+        """Readable form of a payload; the default renders int tuples as (x,y,z)."""
+        return "(" + ",".join(map(str, a)) + ")"
 
 
 class TrivialGroup(GroupHandle):
@@ -396,9 +433,6 @@ class TrivialGroup(GroupHandle):
 
     def inv(self, a):
         return 0
-
-    def canonical_key(self, a) -> bytes:
-        return b""
 
     def _letters(self):
         return []
@@ -435,24 +469,23 @@ class CyclicGroup(GroupHandle):
 
 
 class FreeGroup(GroupHandle):
+    """Free group: elements are free-reduced words, one letter per name."""
+
     identity = ()
 
-    def __init__(self, spec: GroupSpec):
+    def __init__(self, spec: GroupSpec, names=None):
         super().__init__(spec)
-        self.n = spec.n
-        self._names = _letter_names(self.n)
+        self._names = _letter_names(spec.n) if names is None else names
 
     def mul(self, a, b):
-        return free_reduce(a + b)
+        # canonical payloads are free-reduced, so only the seam can cancel
+        return cancel_seam(a, b)
 
     def inv(self, a):
         return invert(a)
 
-    def canonical_key(self, a) -> bytes:
-        return ",".join(map(str, a)).encode()
-
     def _letters(self):
-        return [(self._names[i], (i + 1,)) for i in range(self.n)]
+        return [(name, (i + 1,)) for i, name in enumerate(self._names)]
 
     def format_element(self, a) -> str:
         return format_word(a, self._names)
@@ -470,11 +503,6 @@ class FreeAbelianGroup(GroupHandle):
 
     def inv(self, a):
         return tuple(-x for x in a)
-
-    def canonical_key(self, a) -> bytes:
-        if a == self.identity:
-            return b""
-        return ",".join(map(str, a)).encode()
 
     def _letters(self):
         out = []
@@ -509,17 +537,9 @@ class HeisenbergGroup(GroupHandle):
         x, y, z = a
         return (-x, -y, -z + x * y)
 
-    def canonical_key(self, a) -> bytes:
-        if a == self.identity:
-            return b""
-        return ",".join(map(str, a)).encode()
-
     def _letters(self):
         # z = [x, y] is a product of the others, so two letters suffice
         return [("x", (1, 0, 0)), ("y", (0, 1, 0))]
-
-    def format_element(self, a) -> str:
-        return f"({a[0]},{a[1]},{a[2]})"
 
 
 class KleinBottleGroup(GroupHandle):
@@ -538,19 +558,11 @@ class KleinBottleGroup(GroupHandle):
         sign = 1 if n % 2 == 0 else -1
         return (-sign * m, -n)
 
-    def canonical_key(self, a) -> bytes:
-        if a == self.identity:
-            return b""
-        return ",".join(map(str, a)).encode()
-
     def _letters(self):
         return [("a", (1, 0)), ("b", (0, 1))]
 
-    def format_element(self, a) -> str:
-        return f"({a[0]},{a[1]})"
 
-
-class SurfaceGroup(GroupHandle):
+class SurfaceGroup(FreeGroup):
     """Closed orientable surface group of genus g >= 2.
 
     Elements are canonical geodesic words: Dehn-reduced, then minimized over
@@ -566,15 +578,9 @@ class SurfaceGroup(GroupHandle):
     matches.
     """
 
-    identity = ()
-
     def __init__(self, spec: GroupSpec):
-        super().__init__(spec)
-        self.genus = spec.genus
+        super().__init__(spec, [f"{x}{i}" for i in range(1, spec.genus + 1) for x in "ab"])
         self.relator = SurfaceRelator(spec.genus)
-        self._names = []
-        for i in range(1, spec.genus + 1):
-            self._names.extend([f"a{i}", f"b{i}"])
 
     def _canon(self, word):
         return self._normal(free_reduce(word))
@@ -588,20 +594,10 @@ class SurfaceGroup(GroupHandle):
         return w
 
     def mul(self, a, b):
-        # canonical payloads are free-reduced, so only the seam can cancel
         return self._normal(cancel_seam(a, b))
 
     def inv(self, a):
         return self._canon(invert(a))
-
-    def canonical_key(self, a) -> bytes:
-        return ",".join(map(str, a)).encode()
-
-    def _letters(self):
-        return [(self._names[i], (i + 1,)) for i in range(2 * self.genus)]
-
-    def format_element(self, a) -> str:
-        return format_word(a, self._names)
 
 
 class TorusBundleGroup(GroupHandle):
@@ -640,16 +636,8 @@ class TorusBundleGroup(GroupHandle):
         tx, ty = self._power(-n).apply((x, y))
         return (-tx, -ty, -n)
 
-    def canonical_key(self, a) -> bytes:
-        if a == self.identity:
-            return b""
-        return ",".join(map(str, a)).encode()
-
     def _letters(self):
         return [("e1", (1, 0, 0)), ("e2", (0, 1, 0)), ("t", (0, 0, 1))]
-
-    def format_element(self, a) -> str:
-        return f"({a[0]},{a[1]},{a[2]})"
 
 
 class FreeProductGroup(GroupHandle):

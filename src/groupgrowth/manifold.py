@@ -22,26 +22,27 @@ from .bounds import (
     osin_bound,
 )
 from .errors import InvalidSpec, NoEnumerableGroup
-from .groups import GroupOrder, GroupSpec, MatrixZ2, _as_tuple, _check_label, _is_int, group_order
+from .groups import GroupOrder, GroupSpec, MatrixZ2, SpecBase, _is_int, group_order
 
-KINDS = (
-    "connected_sum",
-    "hyperbolic_torus_bundle",
-    "seifert_product_circle_times_surface",
-    "three_torus",
-    "nil_manifold_heisenberg",
-    "spherical",
-    "lens_like",
-    "torus_times_interval_double",
-    "twisted_I_bundle_klein_double",
-)
+MANIFOLD_PARAMS = {
+    "connected_sum": ("summands", "s2xs1_count"),
+    "hyperbolic_torus_bundle": ("matrix",),
+    "seifert_product_circle_times_surface": ("g",),
+    "three_torus": (),
+    "nil_manifold_heisenberg": (),
+    "spherical": ("m",),
+    "lens_like": ("m",),
+    "torus_times_interval_double": (),
+    "twisted_I_bundle_klein_double": (),
+}
+KINDS = tuple(MANIFOLD_PARAMS)
 
 # flat-branch tags whose groups are not enumerable here
 _TAG_ONLY = ("torus_times_interval_double", "twisted_I_bundle_klein_double")
 
 
 @dataclass(frozen=True)
-class ManifoldSpec:
+class ManifoldSpec(SpecBase):
     kind: str
     summands: tuple["ManifoldSpec", ...] | None = None
     s2xs1_count: int | None = None
@@ -50,41 +51,29 @@ class ManifoldSpec:
     m: int | None = None
     label: str | None = None
 
+    _TAG = "kind"
+    _NOUN = "manifold"
+    _UNKNOWN = "unknown manifold kind {!r}"
+    _SCHEMA = MANIFOLD_PARAMS
+    _CHILDREN = ("summands",)
+    _DEFAULTS = {"s2xs1_count": 0}
+
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise InvalidSpec(f"unknown manifold kind {self.kind!r}")
-        _check_label(self.label)
-        allowed = {
-            "connected_sum": ("summands", "s2xs1_count"),
-            "hyperbolic_torus_bundle": ("matrix",),
-            "seifert_product_circle_times_surface": ("g",),
-            "spherical": ("m",),
-            "lens_like": ("m",),
-        }.get(self.kind, ())
-        for name in ("summands", "s2xs1_count", "matrix", "g", "m"):
-            value = getattr(self, name)
-            if name in allowed:
-                if value is None:
-                    raise InvalidSpec(f"{self.kind} requires parameter {name!r}")
-            elif value is not None:
-                raise InvalidSpec(f"{self.kind} takes no parameter {name!r}")
-        if self.kind == "connected_sum":
-            object.__setattr__(self, "summands", _as_tuple(self.summands, "connected_sum summands"))
-            for s in self.summands:
-                if not isinstance(s, ManifoldSpec):
-                    raise InvalidSpec(f"connected_sum summands must be manifold specs, got {s!r}")
+        super().__post_init__()
+        kind = self.kind
+        if kind == "connected_sum":
             if not _is_int(self.s2xs1_count) or self.s2xs1_count < 0:
                 raise InvalidSpec(f"s2xs1_count must be an integer >= 0, got {self.s2xs1_count!r}")
             if len(self.summands) + self.s2xs1_count < 2:
                 raise InvalidSpec("a connected sum needs at least two pieces")
-        if self.kind == "hyperbolic_torus_bundle" and not is_hyperbolic(self.matrix):
+        if kind == "hyperbolic_torus_bundle" and not is_hyperbolic(self.matrix):
             raise InvalidSpec(
                 f"matrix {self.matrix.rows()} is not hyperbolic "
                 "(need |det| = 1 and no eigenvalue of modulus one)"
             )
-        if self.kind == "seifert_product_circle_times_surface" and (not _is_int(self.g) or self.g < 2):
+        if kind == "seifert_product_circle_times_surface" and (not _is_int(self.g) or self.g < 2):
             raise InvalidSpec(f"base surface genus must be >= 2, got {self.g!r}")
-        if self.kind in ("spherical", "lens_like") and (not _is_int(self.m) or self.m < 1):
+        if kind in ("spherical", "lens_like") and (not _is_int(self.m) or self.m < 1):
             raise InvalidSpec(f"quotient order must be >= 1, got {self.m!r}")
 
     # -- constructors ------------------------------------------------------
@@ -95,8 +84,6 @@ class ManifoldSpec:
 
     @classmethod
     def hyperbolic_torus_bundle(cls, matrix, label=None) -> "ManifoldSpec":
-        if not isinstance(matrix, MatrixZ2):
-            matrix = MatrixZ2.from_rows(matrix)
         return cls("hyperbolic_torus_bundle", matrix=matrix, label=label)
 
     @classmethod
@@ -126,53 +113,6 @@ class ManifoldSpec:
     @classmethod
     def klein_bundle_double(cls, label=None) -> "ManifoldSpec":
         return cls("twisted_I_bundle_klein_double", label=label)
-
-    # -- serialization -----------------------------------------------------
-
-    def to_dict(self) -> dict:
-        params: dict = {}
-        if self.kind == "connected_sum":
-            params["summands"] = [s.to_dict() for s in self.summands]
-            params["s2xs1_count"] = self.s2xs1_count
-        elif self.kind == "hyperbolic_torus_bundle":
-            params["matrix"] = self.matrix.rows()
-        elif self.kind == "seifert_product_circle_times_surface":
-            params["g"] = self.g
-        elif self.kind in ("spherical", "lens_like"):
-            params["m"] = self.m
-        out = {"kind": self.kind, "params": params}
-        if self.label is not None:
-            out["label"] = self.label
-        return out
-
-    @classmethod
-    def from_dict(cls, data) -> "ManifoldSpec":
-        if not isinstance(data, dict) or "kind" not in data:
-            raise InvalidSpec(f"manifold spec must be an object with a 'kind' key, got {data!r}")
-        kind = data["kind"]
-        params = data.get("params", {})
-        if not isinstance(params, dict):
-            raise InvalidSpec(f"'params' must be an object, got {params!r}")
-        kwargs: dict = {"label": data.get("label")}
-        try:
-            if kind == "connected_sum":
-                summands = _as_tuple(params["summands"], "connected_sum summands")
-                kwargs["summands"] = tuple(cls.from_dict(s) for s in summands)
-                kwargs["s2xs1_count"] = params.get("s2xs1_count", 0)
-            elif kind == "hyperbolic_torus_bundle":
-                kwargs["matrix"] = MatrixZ2.from_rows(params["matrix"])
-            elif kind == "seifert_product_circle_times_surface":
-                kwargs["g"] = params["g"]
-            elif kind in ("spherical", "lens_like"):
-                kwargs["m"] = params["m"]
-        except KeyError as exc:
-            raise InvalidSpec(f"{kind} spec is missing parameter {exc.args[0]!r}")
-        return cls(kind, **kwargs)
-
-    def describe(self) -> str:
-        if self.label:
-            return self.label
-        return self.kind
 
 
 def group_of_manifold(manifold: ManifoldSpec) -> GroupSpec:

@@ -263,6 +263,12 @@ def test_bcg_table_and_bound():
         make_bcg_table({(3, 1): -0.5})
 
 
+@pytest.mark.parametrize("c", [800, 709.8, 10**400, math.inf, math.nan], ids=str)
+def test_bcg_constant_without_finite_exponential_rejected(c):
+    with pytest.raises(ValueError, match=r"\(3, 1\)"):
+        make_bcg_table({(3, 1): c})
+
+
 def test_solvable_bound():
     r = solvable_bound()
     assert r.value == SOLVABLE_UNIVERSAL

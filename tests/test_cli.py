@@ -275,9 +275,19 @@ THREE_TORUS = {"kind": "three_torus"}
         (["growth", "--kmax", "3"], {"family": "free", "params": {"n": 2}, "label": {"x": 1}}, "label"),
         (["classify"], {**THREE_TORUS, "label": ["x"]}, "label"),
         (["classify"], {**THREE_TORUS, "label": {"x": 1}}, "label"),
+        (["growth", "--kmax", "3"], {"family": "trivial", "params": {"m": 3}}, "takes no parameter 'm'"),
+        (["growth", "--kmax", "3"], {"family": "free", "params": {"n": 2}, "lable": "F2"}, "'lable'"),
+        (["classify"], {**THREE_TORUS, "params": {"g": 2}}, "takes no parameter 'g'"),
+        (["classify"], {**THREE_TORUS, "lable": "T3"}, "'lable'"),
+        (["growth", "--kmax", "3"], {"family": ["x"]}, "unknown family"),
+        (["growth", "--kmax", "3"], {"family": {}}, "unknown family"),
+        (["classify"], {"kind": ["x"]}, "unknown manifold kind"),
+        (["classify"], {"kind": {}}, "unknown manifold kind"),
     ],
     ids=["genus", "factors", "summands", "s2xs1_count", "growth-list-label", "growth-dict-label",
-         "classify-list-label", "classify-dict-label"],
+         "classify-list-label", "classify-dict-label", "growth-unknown-param", "growth-unknown-key",
+         "classify-unknown-param", "classify-unknown-key", "growth-list-family", "growth-dict-family",
+         "classify-list-kind", "classify-dict-kind"],
 )
 def test_invalid_spec_exits_two(tmp_path, capsys, argv, spec, word):
     bad = tmp_path / "bad.json"
@@ -328,6 +338,17 @@ def test_malformed_bcg_table_exits_two(tmp_path, capsys, entries):
         code, out, err = run(argv, capsys)
         assert code == 2
         assert err.startswith("error: BCG table entries") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", ["[[3, 1, 800]]", "[[3, 1, Infinity]]", "[[3, 1, 1e400]]"])
+def test_bcg_constant_without_finite_exponential_exits_two(tmp_path, capsys, text):
+    table = tmp_path / "bcg.json"
+    table.write_text(text)
+    for argv in (["universal", "--bcg", str(table)], ["bound", "--theorem", "bcg", "--bcg", str(table)]):
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: constant for (3, 1)") and err.count("\n") == 1
 
 
 def test_verify_kmax_below_one_exits_two(tb_spec, capsys):

@@ -15,6 +15,7 @@ from groupgrowth import (
     make_generating_set,
     make_group,
 )
+from groupgrowth.groups import FAMILIES, GROUP_PARAMS
 from groupgrowth.surface import SurfaceRelator, dehn_reduce, surface_canonical
 from groupgrowth.words import free_reduce, invert
 
@@ -138,6 +139,32 @@ def test_spec_label_roundtrip():
     assert GroupSpec.from_dict(spec.to_dict()).label == "F2"
 
 
+def test_families_are_the_schema():
+    assert FAMILIES == tuple(GROUP_PARAMS)
+    assert {s.family for s in ALL_SPECS} == set(FAMILIES)
+    for spec in ALL_SPECS:
+        assert tuple(spec.to_dict()["params"]) == GROUP_PARAMS[spec.family]
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"family": "trivial", "params": {"m": 3}}, "trivial takes no parameter 'm'"),
+        ({"family": "cyclic", "params": {"m": 3, "n": 2}}, "cyclic takes no parameter 'n'"),
+        ({"family": "free", "params": {"n": 2}, "lable": "F2"}, "group spec takes no key 'lable'"),
+        ({"family": ["x"]}, "unknown family ['x']"),
+        ({"family": {}}, "unknown family {}"),
+        ({"family": 5}, "unknown family 5"),
+        ({"family": "cyclic", "params": {}}, "cyclic spec is missing parameter 'm'"),
+    ],
+    ids=["param-trivial", "param-cyclic", "top-level", "list-tag", "dict-tag", "int-tag", "missing"],
+)
+def test_from_dict_rejects_keys_outside_the_schema(data, message):
+    with pytest.raises(InvalidSpec) as info:
+        GroupSpec.from_dict(data)
+    assert str(info.value) == message
+
+
 def test_group_order_values():
     assert group_order(GroupSpec.trivial()) == GroupOrder.finite(1)
     assert group_order(GroupSpec.cyclic(6)) == GroupOrder.finite(6)
@@ -189,11 +216,16 @@ def test_cyclic_matches_residues():
         assert handle.inv(a) == (-a) % 6
 
 
-@given(st.lists(st.integers(-3, 3).filter(bool), max_size=8))
-def test_free_mul_is_reduced_concatenation(w):
+@given(
+    st.lists(st.integers(-3, 3).filter(bool), max_size=8),
+    st.lists(st.integers(-3, 3).filter(bool), max_size=4),
+)
+def test_free_mul_is_reduced_concatenation(w, c):
+    # mul takes canonical, i.e. free-reduced, operands; c and its inverse
+    # meet at the seam, so the cancellation there is exercised
     handle = make_group(GroupSpec.free(3))
-    left = tuple(w[: len(w) // 2])
-    right = tuple(w[len(w) // 2 :])
+    left = oracles.reduce_free(tuple(w[: len(w) // 2]) + tuple(c))
+    right = oracles.reduce_free(invert(c) + tuple(w[len(w) // 2 :]))
     assert handle.mul(left, right) == oracles.reduce_free(left + right)
 
 
@@ -354,6 +386,9 @@ def test_describe_strings():
     assert GroupSpec.direct_product_with_Z(GroupSpec.surface(2)).describe() == (
         "Z x (surface(2))"
     )
+    assert GroupSpec.torus_bundle(A21).describe() == "torus_bundle([[2, 1], [1, 1]])"
+    assert GroupSpec.heisenberg().describe() == "heisenberg"
+    assert GroupSpec.cyclic(6, label="C6").describe() == "C6"
 
 
 # --- surface normal-form shortcut --------------------------------------------

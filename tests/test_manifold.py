@@ -18,7 +18,7 @@ from groupgrowth import (
     make_group,
     universal_constant,
 )
-from groupgrowth.manifold import KINDS
+from groupgrowth.manifold import KINDS, MANIFOLD_PARAMS
 
 A21 = MatrixZ2.from_rows(((2, 1), (1, 1)))
 
@@ -86,6 +86,41 @@ def test_connected_sum_summands_given_as_list():
 @pytest.mark.parametrize("manifold", ALL_MANIFOLDS, ids=lambda m: m.kind)
 def test_manifold_dict_roundtrip(manifold):
     assert ManifoldSpec.from_dict(manifold.to_dict()) == manifold
+
+
+def test_kinds_are_the_schema():
+    assert KINDS == tuple(MANIFOLD_PARAMS)
+    for manifold in ALL_MANIFOLDS:
+        assert tuple(manifold.to_dict()["params"]) == MANIFOLD_PARAMS[manifold.kind]
+
+
+def test_s2xs1_count_defaults_to_zero():
+    data = {"kind": "connected_sum", "params": {"summands": [{"kind": "three_torus"}] * 2}}
+    assert ManifoldSpec.from_dict(data).s2xs1_count == 0
+
+
+def test_hyperbolic_matrix_given_as_rows():
+    spec = ManifoldSpec("hyperbolic_torus_bundle", matrix=[[2, 1], [1, 1]])
+    assert spec == ManifoldSpec.hyperbolic_torus_bundle(A21)
+    assert ManifoldSpec.hyperbolic_torus_bundle([[2, 1], [1, 1]]) == spec
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"kind": "three_torus", "params": {"m": 3}}, "three_torus takes no parameter 'm'"),
+        ({"kind": "spherical", "params": {"m": 3, "g": 2}}, "spherical takes no parameter 'g'"),
+        ({"kind": "three_torus", "lable": "T3"}, "manifold spec takes no key 'lable'"),
+        ({"kind": ["x"]}, "unknown manifold kind ['x']"),
+        ({"kind": {}}, "unknown manifold kind {}"),
+        ({"kind": "spherical"}, "spherical spec is missing parameter 'm'"),
+    ],
+    ids=["param-three-torus", "param-spherical", "top-level", "list-tag", "dict-tag", "missing"],
+)
+def test_from_dict_rejects_keys_outside_the_schema(data, message):
+    with pytest.raises(InvalidSpec) as info:
+        ManifoldSpec.from_dict(data)
+    assert str(info.value) == message
 
 
 # --- fundamental groups -----------------------------------------------------------
