@@ -19,19 +19,6 @@ SQRT2 = math.sqrt(2.0)
 FOURTH_ROOT_2 = 2.0 ** 0.25
 SOLVABLE_UNIVERSAL = 2.0 ** (1.0 / 6.0)
 
-THEOREMS = (
-    "surface_4g3",
-    "surface_2g1",
-    "bucher_free_product",
-    "bucher_harpe_amalgam",
-    "bucher_harpe_hnn",
-    "osin_polycyclic",
-    "solvable_universal",
-    "bcg",
-    "universal_C",
-)
-
-
 def _sign(x: int) -> int:
     return (x > 0) - (x < 0)
 

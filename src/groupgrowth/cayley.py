@@ -192,21 +192,20 @@ def search_generating_sets(
     k: int,
     max_candidates: int | None = None,
     max_seconds: float | None = None,
-    generation_cap: int | None = None,
 ) -> SearchReport:
     """Probe gamma(k)^[1/k] over symmetrized candidate sets from a ball.
 
     Candidates are all size-`set_size` subsets of the ball of
     `candidate_radius` (identity excluded), ordered lexicographically by
     canonical keys; sets equal after symmetrization are tested once.  Sets
-    whose generation check does not certify True are skipped, so the reported
-    minimum is an upper bound over *verified* generating sets only.
+    whose generation check (BFS to radius max(k, 4)) does not certify True
+    are skipped, so the reported minimum is an upper bound over *verified*
+    generating sets only.
     """
     if set_size < 1:
         raise ValueError("set_size must be >= 1")
     if k < 1:
         raise ValueError("k must be >= 1")
-    cap = generation_cap if generation_cap is not None else max(k, 4)
     t0 = time.monotonic()
 
     # the ball lists the identity first; it is no candidate
@@ -232,7 +231,7 @@ def search_generating_sets(
             continue
         seen_sets.add(elements)
         tested += 1
-        if is_generating(handle, gens, cap) is not True:
+        if is_generating(handle, gens, max(k, 4)) is not True:
             continue
         table = growth_table(handle, gens, k)
         u_k = table.gamma[k] ** (1.0 / k)

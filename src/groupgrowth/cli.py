@@ -86,8 +86,22 @@ def _load_bcg(path) -> dict:
                 f"BCG table entries must be [n, a, c] with integers n, a and a number c, got {item!r}"
             )
         n, a, c = item
+        if (n, a) in entries:
+            raise ValueError(f"BCG table has two entries for (n, a) = ({n}, {a})")
         entries[(n, a)] = c
     return make_bcg_table(entries)
+
+
+# least legal value of each budget, cap and radius flag, by argparse dest
+_FLAG_FLOORS = (("max_elements", 1), ("max_seconds", 0), ("max_candidates", 0), ("radius", 0))
+
+
+def _check_flag_floors(args) -> None:
+    """Reject a flag below its floor before any work; `not >=` also rejects nan."""
+    for dest, floor in _FLAG_FLOORS:
+        value = getattr(args, dest, None)
+        if value is not None and not value >= floor:
+            raise ValueError(f"--{dest.replace('_', '-')} must be >= {floor}, got {value}")
 
 
 def _emit(report: dict, out_path=None) -> None:
@@ -392,6 +406,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_flag_floors(args)
         return args.func(args)
     except (GroupGrowthError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -25,10 +25,6 @@ class WindowTooSmall(GroupGrowthError, ValueError):
     """A fit window holds fewer than the required number of points."""
 
 
-class DegenerateSphere(GroupGrowthError, ValueError):
-    """A sphere size is zero, so sphere ratios are undefined (finite group exhausted)."""
-
-
 class DomainError(GroupGrowthError, ValueError):
     """Numeric argument outside the mathematical domain of the operation."""
 

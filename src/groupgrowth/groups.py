@@ -12,9 +12,7 @@ from dataclasses import dataclass, fields
 
 from .errors import InvalidSpec, InvalidGenus
 from .surface import SurfaceRelator, dehn_reduce, surface_canonical
-from .words import cancel_seam, free_reduce, format_word, invert
-
-_ALPHABET = "abcdefghijklmnopqrstuvwxyz"
+from .words import ALPHABET, cancel_seam, free_reduce, format_word, invert
 
 
 def _is_int(value) -> bool:
@@ -29,8 +27,8 @@ def _as_tuple(value, what: str) -> tuple:
 
 
 def _letter_names(n: int) -> list[str]:
-    if n <= len(_ALPHABET):
-        return [_ALPHABET[i] for i in range(n)]
+    if n <= len(ALPHABET):
+        return [ALPHABET[i] for i in range(n)]
     return [f"x{i + 1}" for i in range(n)]
 
 

@@ -13,7 +13,7 @@ import statistics
 from dataclasses import dataclass
 
 from .cayley import GrowthTable
-from .errors import DegenerateSphere, DomainError, FitRejected, WindowTooSmall
+from .errors import DomainError, FitRejected, WindowTooSmall
 
 EXPONENTIAL_RATIO_THRESHOLD = 1.2
 POLYNOMIAL_RATIO_THRESHOLD = 1.1
@@ -26,11 +26,19 @@ def root_bounds(table: GrowthTable) -> list[float]:
 
 
 def ratio_estimates(table: GrowthTable) -> list[float]:
-    """sigma(k+1)/sigma(k) for k = 1..kmax-1; heuristic only, no bound semantics."""
-    for k in range(1, table.kmax + 1):
+    """sigma(k+1)/sigma(k) for k = 1..kmax-1; heuristic only, no bound semantics.
+
+    The list stops at the first empty sphere: it ends with that sphere's
+    ratio 0, or is empty when sphere 1 already is.
+    """
+    out = []
+    for k in range(1, table.kmax):
         if table.sigma[k] == 0:
-            raise DegenerateSphere(f"sphere {k} is empty; the group is exhausted")
-    return [table.sigma[k + 1] / table.sigma[k] for k in range(1, table.kmax)]
+            break
+        out.append(table.sigma[k + 1] / table.sigma[k])
+        if table.sigma[k + 1] == 0:
+            break
+    return out
 
 
 def _check_window(table: GrowthTable, window) -> tuple[int, int]:
@@ -159,17 +167,6 @@ def _round12(x: float) -> float:
     return float("%.12g" % x)
 
 
-def _ratio_prefix(table: GrowthTable) -> list[float]:
-    out = []
-    for k in range(1, table.kmax):
-        if table.sigma[k] == 0:
-            break
-        out.append(table.sigma[k + 1] / table.sigma[k])
-        if table.sigma[k + 1] == 0:
-            break
-    return out
-
-
 def estimate_rates(table: GrowthTable, window=None) -> RateEstimates:
     """Bundle every estimator the table supports.
 
@@ -178,7 +175,7 @@ def estimate_rates(table: GrowthTable, window=None) -> RateEstimates:
     (root bounds, ratios, entropy of the infimum) are reported.
     """
     roots = root_bounds(table)
-    ratios = _ratio_prefix(table)
+    ratios = ratio_estimates(table)
     inf_root = min(roots) if roots else 1.0
     if window is None and table.kmax >= 5:
         window = (max(2, table.kmax // 2), table.kmax)

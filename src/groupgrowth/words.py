@@ -2,8 +2,7 @@
 
 A word is a tuple of nonzero integers: letter ``i+1`` is the i-th generator,
 ``-(i+1)`` its inverse.  The empty tuple is the identity.  Letters are ordered
-a < a' < b < b' < ... (generator before its inverse); shortlex compares length
-first, then that letter order.
+a < a' < b < b' < ... (generator before its inverse).
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ import re
 
 Word = tuple[int, ...]
 
-_LOWER = "abcdefghijklmnopqrstuvwxyz"
+ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 
 
 def free_reduce(word) -> Word:
@@ -50,14 +49,6 @@ def letter_rank(letter: int) -> int:
     return 2 * (abs(letter) - 1) + (0 if letter > 0 else 1)
 
 
-def shortlex_key(word) -> tuple:
-    return (len(word), tuple(letter_rank(x) for x in word))
-
-
-def shortlex_less(u, v) -> bool:
-    return shortlex_key(u) < shortlex_key(v)
-
-
 def format_word(word, names=None) -> str:
     """Render a word as space-separated letters, apostrophe for inverses.
 
@@ -67,7 +58,7 @@ def format_word(word, names=None) -> str:
         return "1"
     parts = []
     for x in word:
-        name = names[abs(x) - 1] if names else _LOWER[abs(x) - 1]
+        name = names[abs(x) - 1] if names else ALPHABET[abs(x) - 1]
         parts.append(name if x > 0 else name + "'")
     return " ".join(parts)
 

@@ -28,7 +28,7 @@ from groupgrowth import (
     squarefree_part,
     surface_bound,
 )
-from groupgrowth.bounds import THEOREMS, scan_csv_rows
+from groupgrowth.bounds import scan_csv_rows
 
 getcontext().prec = 60
 
@@ -274,11 +274,6 @@ def test_solvable_bound():
     assert r.value == SOLVABLE_UNIVERSAL
     assert r.theorem == "solvable_universal"
     assert r.hypotheses_ok
-
-
-def test_theorem_registry():
-    assert len(THEOREMS) == 9
-    assert "osin_polycyclic" in THEOREMS and "universal_C" in THEOREMS
 
 
 def test_named_constants_ordering():

@@ -351,6 +351,52 @@ def test_bcg_constant_without_finite_exponential_exits_two(tmp_path, capsys, tex
         assert err.startswith("error: constant for (3, 1)") and err.count("\n") == 1
 
 
+SEARCH = ["search", "--set-size", "1", "--k", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["growth", "--kmax", "3", "--max-elements", "-5"], "--max-elements"),
+        (["growth", "--kmax", "3", "--max-elements", "0"], "--max-elements"),
+        (["growth", "--kmax", "3", "--max-seconds", "-1"], "--max-seconds"),
+        (["growth", "--kmax", "3", "--max-seconds", "nan"], "--max-seconds"),
+        (["verify", "--kmax", "3", "--max-elements", "0"], "--max-elements"),
+        (["verify", "--kmax", "3", "--max-seconds", "-1"], "--max-seconds"),
+        (["verify", "--kmax", "3", "--max-seconds", "nan"], "--max-seconds"),
+        (SEARCH + ["--radius", "-1"], "--radius"),
+        (SEARCH + ["--max-candidates", "-1"], "--max-candidates"),
+        (SEARCH + ["--max-seconds", "-1"], "--max-seconds"),
+        (SEARCH + ["--max-seconds", "nan"], "--max-seconds"),
+    ],
+    ids=["growth-max-elements-neg", "growth-max-elements-0", "growth-max-seconds-neg", "growth-max-seconds-nan",
+         "verify-max-elements-0", "verify-max-seconds-neg", "verify-max-seconds-nan", "search-radius-neg",
+         "search-max-candidates-neg", "search-max-seconds-neg", "search-max-seconds-nan"],
+)
+def test_flag_below_floor_exits_two(free2_spec, capsys, argv, flag):
+    code, out, err = run(argv + ["--spec", free2_spec], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {flag} must be >= ") and err.count("\n") == 1
+
+
+def test_flag_at_floor_is_accepted(free2_spec, capsys):
+    code, report = run_json(["growth", "--spec", free2_spec, "--kmax", "3", "--max-elements", "1"], capsys)
+    assert code == 0 and report["gamma"] == [1]
+    code, report = run_json(SEARCH + ["--spec", free2_spec, "--radius", "0", "--max-candidates", "0"], capsys)
+    assert code == 0 and report["candidates_tested"] == 0
+
+
+def test_repeated_bcg_key_exits_two(tmp_path, capsys):
+    table = tmp_path / "bcg.json"
+    table.write_text(json.dumps([[3, 1, 0.1], [3, 1, 0.5]]))
+    for argv in (["universal", "--bcg", str(table)], ["bound", "--theorem", "bcg", "--bcg", str(table)]):
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: BCG table has two entries for (n, a) = (3, 1)\n"
+
+
 def test_verify_kmax_below_one_exits_two(tb_spec, capsys):
     code, out, err = run(["verify", "--spec", tb_spec, "--kmax", "0"], capsys)
     assert code == 2

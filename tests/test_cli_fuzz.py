@@ -1,12 +1,16 @@
-"""Property fuzz of the CLI boundary: random JSON through every file-reading subcommand.
+"""Property fuzz of the CLI boundary: random JSON files and random flag values.
 
-Each example writes one JSON document as a spec file or a `--bcg` table and
-runs it through `cli.main`.  Whatever the document, the call must exit 0,
+The first test writes one JSON document as a spec file or a `--bcg` table
+and runs it through `cli.main`; the second runs a valid spec through random
+values of the flags themselves.  Whatever the input, the call must exit 0,
 1 (only `verify`, when the bound fails) or 2 (bad input: nothing on stdout
 and exactly one `error:` line on stderr), and never raise.  Documents are
 built from the spec schemas' key names and tags, so many of them are valid
-or one mistake away from it.  Ints stay at most 8 and every enumeration runs
-under a tiny `--kmax` plus an element or candidate cap, so no example is slow.
+or one mistake away from it.  Flag values are drawn from negatives, 0, nan,
+inf and small ints, and a budget or cap below its floor must exit 2.  Ints
+stay at most 8, every enumeration runs under a tiny `--kmax`, and random
+specs and every search also under an element or candidate cap, so no
+example is slow.
 """
 
 import contextlib
@@ -103,21 +107,108 @@ CALLS = st.one_of(
 )
 
 
-@settings(max_examples=300, deadline=None)
-@given(CALLS)
-def test_cli_boundary_exit_codes(tmp_path_factory, call):
-    command, flags, file_flag, document = call
-    path = tmp_path_factory.getbasetemp() / "fuzz-input.json"
-    path.write_text(json.dumps(document))
+def _run_checked(argv) -> int:
+    """Run `cli.main` on argv, assert the exit contract and return the code."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main([command, *flags, file_flag, str(path)])
+        code = cli.main(argv)
     out, err = out.getvalue(), err.getvalue()
     assert code in (0, 1, 2)
     if code == 2:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
     else:
-        assert code == 0 or command == "verify"
+        assert code == 0 or argv[0] == "verify"
         assert err == ""
         json.loads(out)
+    return code
+
+
+@settings(max_examples=300, deadline=None)
+@given(CALLS)
+def test_cli_boundary_exit_codes(tmp_path_factory, call):
+    command, flags, file_flag, document = call
+    path = tmp_path_factory.getbasetemp() / "fuzz-input.json"
+    path.write_text(json.dumps(document))
+    _run_checked([command, *flags, file_flag, str(path)])
+
+
+# --- flags ----------------------------------------------------------------------------
+
+# valid specs whose balls stay small at the radii drawn below
+FLAG_SPECS = [
+    {"family": "trivial", "params": {}},
+    {"family": "cyclic", "params": {"m": 3}},
+    {"family": "free", "params": {"n": 2}},
+    {"family": "free_abelian", "params": {"n": 2}},
+    {"family": "surface", "params": {"genus": 2}},
+    {"family": "heisenberg", "params": {}},
+    {"family": "torus_bundle", "params": {"matrix": [[2, 1], [1, 1]]}},
+    {"family": "free_product", "params": {"factors": [{"family": "cyclic", "params": {"m": 2}},
+                                                      {"family": "cyclic", "params": {"m": 3}}]}},
+]
+# least legal value of each budget and cap; a value below it (or nan) must exit 2
+FLOORS = {"--max-elements": 1, "--max-seconds": 0, "--max-candidates": 0, "--radius": 0}
+
+ints = st.integers(-2, 3).map(str)
+# argparse reads "-inf" as an option, so the negatives here are numerals
+floats = st.sampled_from(["-1", "-0.5", "0", "0.5", "2", "nan", "inf"])
+tokens = st.sampled_from(["-1", "0", "1", "2", "3", "5", "inf", "nan", "oo", "x", "", " 2"])
+
+
+def flag(name, values):
+    return values.map(lambda value: [name, value])
+
+
+def maybe(flag_list):
+    """The flag, or no flag at all."""
+    return st.just([]) | flag_list
+
+
+def joined(name, min_size, max_size):
+    """`name=t1,t2,...` as one argument, since argparse reads a bare "-1,2" as an option."""
+    return st.lists(tokens, min_size=min_size, max_size=max_size).map(lambda ts: [f"{name}={','.join(ts)}"])
+
+
+def argv(command, *flag_lists):
+    return st.tuples(*flag_lists).map(lambda lists: [command, *(item for part in lists for item in part)])
+
+
+budget = (maybe(flag("--max-elements", ints)), maybe(flag("--max-seconds", floats)))
+SPEC_CALLS = st.one_of(
+    argv("growth", flag("--kmax", ints), *budget, maybe(joined("--window", 1, 3))),
+    argv("verify", flag("--kmax", ints), *budget),
+    argv(
+        "search",
+        flag("--set-size", st.sampled_from(["-1", "0", "1", "2"])),
+        flag("--k", ints),
+        maybe(flag("--radius", st.sampled_from(["-2", "-1", "0", "1"]))),
+        flag("--max-candidates", ints),
+        maybe(flag("--max-seconds", floats)),
+    ),
+)
+OTHER_CALLS = st.one_of(
+    argv("bound", st.just(["--theorem", "osin"]), joined("--matrix", 3, 5)),
+    argv("bound", st.sampled_from([["--theorem", "amalgam"], ["--theorem", "hnn"]]), joined("--indices", 1, 3)),
+    argv("bound", st.just(["--theorem", "surface"]), flag("--genus", st.integers(-2, 5).map(str)),
+         st.sampled_from([[], ["--weak"]])),
+    argv("bound", st.just(["--theorem", "bcg"]), flag("--dim", ints), flag("--pinching", floats)),
+    argv("scan", flag("--entry-bound", ints)),
+)
+
+
+def _below_floor(args) -> bool:
+    return any(name in FLOORS and not float(value) >= FLOORS[name] for name, value in zip(args, args[1:]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.tuples(SPEC_CALLS, st.sampled_from(FLAG_SPECS)), st.tuples(OTHER_CALLS, st.none())))
+def test_cli_flag_exit_codes(tmp_path_factory, call):
+    args, spec = call
+    if spec is not None:
+        path = tmp_path_factory.getbasetemp() / "fuzz-spec.json"
+        path.write_text(json.dumps(spec))
+        args = [*args, "--spec", str(path)]
+    code = _run_checked(args)
+    if _below_floor(args):
+        assert code == 2

@@ -8,7 +8,6 @@ import pytest
 import groupgrowth
 import oracles
 from groupgrowth import (
-    DegenerateSphere,
     DomainError,
     FitRejected,
     GroupSpec,
@@ -57,10 +56,12 @@ def test_ratios_free2(free2_k8):
     assert ratio_estimates(free2_k8) == [3.0] * 7
 
 
-def test_ratio_estimates_raise_on_dead_sphere():
+def test_ratio_estimates_stop_at_dead_sphere():
+    # cyclic(5) spheres are 1, 2, 2, 0, 0: the ratios end with the 0 of the first empty sphere
     table = small_table(GroupSpec.cyclic(5), 4)
-    with pytest.raises(DegenerateSphere):
-        ratio_estimates(table)
+    assert table.sigma == (1, 2, 2, 0, 0)
+    assert ratio_estimates(table) == [1.0, 0.0]
+    assert ratio_estimates(small_table(GroupSpec.trivial(), 3)) == []
 
 
 # --- polynomial degree fits ----------------------------------------------------------

@@ -9,8 +9,6 @@ from groupgrowth.words import (
     letter_rank,
     parse_presentation,
     parse_word,
-    shortlex_key,
-    shortlex_less,
 )
 
 letters = st.integers(min_value=-4, max_value=4).filter(lambda x: x != 0)
@@ -55,17 +53,6 @@ def test_letter_rank_order():
     # a < a' < b < b' < ...
     ranked = sorted([1, -1, 2, -2, 3], key=letter_rank)
     assert ranked == [1, -1, 2, -2, 3]
-
-
-def test_shortlex_orders_by_length_first():
-    assert shortlex_less((1, 1), (2,)) is False
-    assert shortlex_less((2,), (1, 1)) is True
-    assert shortlex_less((1, -1), (1, 2)) is True  # a a' < a b
-
-
-@given(words, words)
-def test_shortlex_key_matches_predicate(u, v):
-    assert (shortlex_key(u) < shortlex_key(v)) == shortlex_less(u, v)
 
 
 def test_parse_word_names_and_inverses():
