@@ -2,9 +2,12 @@
 
 For each hyperbolic matrix (|det| = 1, no eigenvalue of modulus one) the
 scan records the dominant root modulus Lambda exactly as a quadratic surd
-and the growth bound it implies.  The per-determinant summary shows why
-the det = +1 and det = -1 classes behave differently: only det = +1
-forces Lambda > 2.
+and the growth bound it implies.  It solves a*d - b*c = +-1 for d, so it
+visits O(B^3) entry triples rather than all (2B+1)^4 matrices.  The
+per-determinant summary shows why the two classes differ: det = +1
+hyperbolic means |tr| >= 3, which forces Lambda >= (3+sqrt(5))/2 > 2,
+while det = -1 allows |tr| = 1, where Lambda = (1+sqrt(5))/2 <= 2.  The
+growth bound still clears the solvable floor 2^(1/6) there.
 """
 
 from groupgrowth import scan_hyperbolic

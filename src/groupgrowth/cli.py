@@ -92,8 +92,15 @@ def _load_bcg(path) -> dict:
     return make_bcg_table(entries)
 
 
-# least legal value of each budget, cap and radius flag, by argparse dest
-_FLAG_FLOORS = (("max_elements", 1), ("max_seconds", 0), ("max_candidates", 0), ("radius", 0))
+# least legal value of each budget, cap, radius and BCG flag, by argparse dest
+_FLAG_FLOORS = (
+    ("max_elements", 1),
+    ("max_seconds", 0),
+    ("max_candidates", 0),
+    ("radius", 0),
+    ("dim", 2),
+    ("pinching", 1),
+)
 
 
 def _check_flag_floors(args) -> None:
@@ -335,8 +342,18 @@ def _cmd_universal(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with a one-line `error:` message instead of the usage block.
+
+    Subparsers are built from the same class, so the same holds for them.
+    """
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="groupgrowth",
         description="Exact Cayley-ball growth tables, rate estimates, and lower bounds",
     )

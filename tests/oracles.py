@@ -3,7 +3,9 @@
 Everything here is deliberately naive and written from the definitions, not
 from the library code: plain BFS over element payloads, a from-scratch Dehn
 reducer that scans every relator variant at every position, and closed-form
-ball sizes for the families that have them.
+ball sizes for the families that have them.  The matrix scan oracle is the
+exception noted in its docstring: it takes Lambda and the Osin value from
+the package.
 """
 
 from fractions import Fraction
@@ -195,6 +197,39 @@ def heisenberg_mul(a, b):
 def all_int_matrices(bound):
     rng = range(-bound, bound + 1)
     return product(rng, rng, rng, rng)
+
+
+def naive_scan(bound):
+    """The hyperbolic matrix scan by four nested loops over all (2B+1)^4 matrices.
+
+    Only the enumeration and the per-class folding are independent of the
+    package: Lambda and the Osin value come from `lambda_max` and
+    `osin_bound`, which are tested on their own.  Returns (rows, classes):
+    rows are (a, b, c, d, det, trace, lam, osin) in lexicographic order, and
+    classes maps det to (count, min_lam, min_osin, lambda_le_2, witness),
+    the witness being the first row that attains min_lam.
+    """
+    from groupgrowth.bounds import lambda_max, osin_bound
+    from groupgrowth.groups import MatrixZ2
+
+    rows = []
+    classes = {1: (0, None, None, False, None), -1: (0, None, None, False, None)}
+    for a, b, c, d in all_int_matrices(bound):
+        det = a * d - b * c
+        if det not in (1, -1):
+            continue
+        m = MatrixZ2(a, b, c, d)
+        lam = lambda_max(m)
+        if not lam > 1:
+            continue
+        osin = osin_bound(m).value
+        rows.append((a, b, c, d, det, a + d, lam, osin))
+        count, min_lam, min_osin, le2, witness = classes[det]
+        if min_lam is None or lam < min_lam:
+            min_lam, witness = lam, (a, b, c, d)
+        min_osin = osin if min_osin is None else min(min_osin, osin)
+        classes[det] = (count + 1, min_lam, min_osin, le2 or lam <= 2, witness)
+    return rows, classes
 
 
 def least_squares_slope(xs, ys):

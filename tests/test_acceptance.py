@@ -159,7 +159,8 @@ def test_criterion_7_scan_minima(scan5):
         minus.min_lambda == QuadraticValue(1, 1, 5)
         and minus.lambda_le_2
         and minus.note is not None
-        and "under investigation" in minus.note
+        and "Lambda <= 2 exactly when |tr| = 1" in minus.note
+        and "still clears the 2^(1/6) solvable floor" in minus.note
     )
     ok = plus_ok and minus_ok
     record_criterion(

@@ -1,3 +1,4 @@
+import functools
 import math
 from decimal import Decimal, getcontext
 from fractions import Fraction
@@ -28,7 +29,10 @@ from groupgrowth import (
     squarefree_part,
     surface_bound,
 )
+from groupgrowth import cli
 from groupgrowth.bounds import scan_csv_rows
+
+import oracles
 
 getcontext().prec = 60
 
@@ -286,14 +290,84 @@ def test_named_constants_ordering():
 # --- matrix scan -------------------------------------------------------------------
 
 
+PHI = QuadraticValue(1, 1, 5)  # (1+sqrt(5))/2
+PHI_SQUARED = QuadraticValue(3, 1, 5)  # (3+sqrt(5))/2
+DET_MINUS_ONE_NOTE = (
+    "for det=+1 hyperbolic means |tr| >= 3, so Lambda >= (3+sqrt(5))/2 > 2; "
+    "for det=-1 hyperbolic means |tr| >= 1, and Lambda <= 2 exactly when |tr| = 1, "
+    "where Lambda = (1+sqrt(5))/2; the Osin value increases with Lambda, so the "
+    "det=-1 minimum 1.32847 still clears the 2^(1/6) solvable floor"
+)
+naive_scan = functools.lru_cache(maxsize=None)(oracles.naive_scan)
+
+
 def test_scan_classes_bound3():
     report = scan_hyperbolic(3)
     by_det = {c.det: c for c in report.classes}
-    assert by_det[1].min_lambda == QuadraticValue(3, 1, 5)
+    assert by_det[1].min_lambda == PHI_SQUARED
     assert not by_det[1].lambda_le_2
-    assert by_det[-1].min_lambda == QuadraticValue(1, 1, 5)
+    assert by_det[1].note == "every det=+1 stretch factor exceeds 2"
+    assert by_det[-1].min_lambda == PHI
     assert by_det[-1].lambda_le_2
-    assert by_det[-1].note is not None and "det=+1" in by_det[-1].note
+    assert by_det[-1].note == DET_MINUS_ONE_NOTE
+
+
+@pytest.mark.parametrize("bound", range(13))
+def test_scan_matches_four_loop_oracle(bound):
+    rows, classes = naive_scan(bound)
+    report = scan_hyperbolic(bound)
+    got = [(r.a, r.b, r.c, r.d, r.det, r.trace, r.lam.exact_str(), r.osin) for r in report.rows]
+    assert got == [(*row[:6], row[6].exact_str(), row[7]) for row in rows]
+    for summary in report.classes:
+        count, min_lam, min_osin, le2, witness = classes[summary.det]
+        assert summary.count == count
+        assert summary.min_lambda == min_lam
+        assert summary.min_osin == min_osin
+        assert summary.lambda_le_2 == le2
+        assert summary.witness == witness
+
+
+def test_scan_csv_bytes_match_oracle_rows(tmp_path, capsys):
+    path = tmp_path / "scan.csv"
+    assert cli.main(["scan", "--entry-bound", "6", "--out", str(path)]) == 0
+    capsys.readouterr()
+    lines = ["det,trace,a,b,c,d,lambda_exact,lambda_float,osin_bound"]
+    for a, b, c, d, det, trace, lam, osin in naive_scan(6)[0]:
+        lines.append(f"{det},{trace},{a},{b},{c},{d},{lam.exact_str()},{float(lam):.12g},{osin:.12g}")
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("bound", range(1, 13))
+def test_det_minus_one_note_holds(bound):
+    """Each clause of the det=-1 note, checked on the brute-force scan."""
+    rows, classes = naive_scan(bound)
+    # hyperbolic means |tr| >= 3 for det=+1 and |tr| >= 1 for det=-1
+    least_trace = {1: 3, -1: 1}
+    expected = {1: 0, -1: 0}
+    for a, b, c, d in oracles.all_int_matrices(bound):
+        det = a * d - b * c
+        if det in expected and abs(a + d) >= least_trace[det]:
+            expected[det] += 1
+    assert {det: sum(1 for r in rows if r[4] == det) for det in expected} == expected
+    # det=+1: Lambda >= (3+sqrt(5))/2 > 2, attained once an entry can reach 2
+    plus = [r[6] for r in rows if r[4] == 1]
+    assert PHI_SQUARED > 2
+    assert all(lam >= PHI_SQUARED for lam in plus)
+    assert (min(plus) == PHI_SQUARED) if bound >= 2 else not plus
+    # det=-1: Lambda <= 2 exactly when |tr| = 1, and then Lambda = (1+sqrt(5))/2
+    for r in rows:
+        if r[4] == -1:
+            assert (r[6] <= 2) == (abs(r[5]) == 1)
+            assert (r[6] == PHI) == (abs(r[5]) == 1)
+    # the Osin value increases with Lambda
+    by_lam = sorted({(float(r[6]), r[7]) for r in rows})
+    assert all(o1 < o2 for (_, o1), (_, o2) in zip(by_lam, by_lam[1:]))
+    # so the det=-1 minimum is the value at (1+sqrt(5))/2 and clears 2^(1/6)
+    min_osin = classes[-1][2]
+    assert min_osin == osin_bound(mat(1, 1, 1, 0)).value
+    assert f"{min_osin:.6g}" == "1.32847"
+    assert min_osin > SOLVABLE_UNIVERSAL
+    assert {c.det: c.note for c in scan_hyperbolic(bound).classes}[-1] == DET_MINUS_ONE_NOTE
 
 
 def test_scan_witnesses_attain_the_minimum(scan5):

@@ -387,6 +387,53 @@ def test_flag_at_floor_is_accepted(free2_spec, capsys):
     assert code == 0 and report["candidates_tested"] == 0
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--dim", "-1"), ("--dim", "1"), ("--pinching", "nan"), ("--pinching", "0.5"), ("--pinching", "-1")],
+)
+def test_bcg_flag_below_floor_exits_two(capsys, flag, value):
+    code, out, err = run(["bound", "--theorem", "bcg", flag, value], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {flag} must be >= ") and err.count("\n") == 1
+
+
+def test_bcg_flags_at_floor_are_accepted(capsys):
+    code, report = run_json(["bound", "--theorem", "bcg", "--dim", "2", "--pinching", "1"], capsys)
+    assert code == 0
+    assert report["hypothesis_detail"] == [["constant_supplied", False, "no c(2,1.0) in table"]]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["growth", "--spec", "x.json", "--kmax", "nan"], "argument --kmax: invalid int value: 'nan'"),
+        (["bound", "--theorem", "bcg", "--pinching", "x"], "argument --pinching: invalid float value: 'x'"),
+        (["scan"], "the following arguments are required: --entry-bound"),
+        (["scan", "--entry-bound", "1", "--bogus"], "unrecognized arguments: --bogus"),
+        ([], "the following arguments are required: command"),
+    ],
+    ids=["int-nan", "float-junk", "missing-flag", "unknown-flag", "no-command"],
+)
+def test_unparseable_command_line_is_one_error_line(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["growth", "--help"]])
+def test_help_prints_usage_and_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 0
+    assert captured.out.startswith("usage: groupgrowth")
+    assert captured.err == ""
+
+
 def test_repeated_bcg_key_exits_two(tmp_path, capsys):
     table = tmp_path / "bcg.json"
     table.write_text(json.dumps([[3, 1, 0.1], [3, 1, 0.5]]))

@@ -7,10 +7,11 @@ values of the flags themselves.  Whatever the input, the call must exit 0,
 and exactly one `error:` line on stderr), and never raise.  Documents are
 built from the spec schemas' key names and tags, so many of them are valid
 or one mistake away from it.  Flag values are drawn from negatives, 0, nan,
-inf and small ints, and a budget or cap below its floor must exit 2.  Ints
-stay at most 8, every enumeration runs under a tiny `--kmax`, and random
-specs and every search also under an element or candidate cap, so no
-example is slow.
+inf, small ints and tokens argparse cannot parse (nan and junk for int
+flags, junk for float flags); a value below its floor or one that does not
+parse must exit 2.  Ints stay at most 8, every enumeration runs under a
+tiny `--kmax`, and random specs and every search also under an element or
+candidate cap, so no example is slow.
 """
 
 import contextlib
@@ -111,7 +112,10 @@ def _run_checked(argv) -> int:
     """Run `cli.main` on argv, assert the exit contract and return the code."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejected the command line
+            code = exc.code
     out, err = out.getvalue(), err.getvalue()
     assert code in (0, 1, 2)
     if code == 2:
@@ -147,12 +151,23 @@ FLAG_SPECS = [
     {"family": "free_product", "params": {"factors": [{"family": "cyclic", "params": {"m": 2}},
                                                       {"family": "cyclic", "params": {"m": 3}}]}},
 ]
-# least legal value of each budget and cap; a value below it (or nan) must exit 2
-FLOORS = {"--max-elements": 1, "--max-seconds": 0, "--max-candidates": 0, "--radius": 0}
+# least legal value of each budget, cap and BCG flag; a value below it (or nan) must exit 2
+FLOORS = {
+    "--max-elements": 1,
+    "--max-seconds": 0,
+    "--max-candidates": 0,
+    "--radius": 0,
+    "--dim": 2,
+    "--pinching": 1,
+}
+INT_FLAGS = {"--kmax", "--k", "--entry-bound", "--max-elements", "--max-candidates", "--radius", "--set-size",
+             "--genus", "--dim"}
+FLOAT_FLAGS = {"--max-seconds", "--pinching"}
+UNPARSEABLE = ["x", "1.5", "", "2e"]
 
-ints = st.integers(-2, 3).map(str)
+ints = _weighted(st.integers(-2, 3).map(str), 6, st.sampled_from(["nan", *UNPARSEABLE]))
 # argparse reads "-inf" as an option, so the negatives here are numerals
-floats = st.sampled_from(["-1", "-0.5", "0", "0.5", "2", "nan", "inf"])
+floats = _weighted(st.sampled_from(["-1", "-0.5", "0", "0.5", "2", "nan", "inf"]), 6, st.sampled_from(UNPARSEABLE))
 tokens = st.sampled_from(["-1", "0", "1", "2", "3", "5", "inf", "nan", "oo", "x", "", " 2"])
 
 
@@ -197,8 +212,24 @@ OTHER_CALLS = st.one_of(
 )
 
 
-def _below_floor(args) -> bool:
-    return any(name in FLOORS and not float(value) >= FLOORS[name] for name, value in zip(args, args[1:]))
+def _parses(value, kind) -> bool:
+    try:
+        kind(value)
+    except ValueError:
+        return False
+    return True
+
+
+def _must_fail(args) -> bool:
+    """A flag value that does not parse, or that lies below its floor."""
+    for name, value in zip(args, args[1:]):
+        if name in INT_FLAGS and not _parses(value, int):
+            return True
+        if name in FLOAT_FLAGS and not _parses(value, float):
+            return True
+        if name in FLOORS and not float(value) >= FLOORS[name]:
+            return True
+    return False
 
 
 @settings(max_examples=300, deadline=None)
@@ -210,5 +241,5 @@ def test_cli_flag_exit_codes(tmp_path_factory, call):
         path.write_text(json.dumps(spec))
         args = [*args, "--spec", str(path)]
     code = _run_checked(args)
-    if _below_floor(args):
+    if _must_fail(args):
         assert code == 2
