@@ -9,7 +9,6 @@ hypothesis broke instead.
 import math
 
 from groupgrowth import (
-    GroupSpec,
     MatrixZ2,
     amalgam_bound,
     free_product_bound,
@@ -33,8 +32,8 @@ def show(report):
 
 if __name__ == "__main__":
     # free products: sqrt(2) unless the product is the infinite dihedral group
-    show(free_product_bound([GroupSpec.cyclic(2), GroupSpec.cyclic(3)]))
-    show(free_product_bound([GroupSpec.cyclic(2), GroupSpec.cyclic(2)]))
+    show(free_product_bound([2, 3]))
+    show(free_product_bound([2, 2]))
 
     # amalgams and HNN extensions: 2^(1/4) under the index conditions
     show(amalgam_bound(3, 2))

@@ -11,9 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from .errors import DomainError, InvalidGenus
+from .errors import InvalidGenus
 from .groups import GroupSpec, MatrixZ2, group_order
+from .rates import round12
 
 SQRT2 = math.sqrt(2.0)
 FOURTH_ROOT_2 = 2.0 ** 0.25
@@ -213,7 +215,7 @@ class BoundReport:
             "theorem": self.theorem,
             "hypotheses_ok": self.hypotheses_ok,
             "hypothesis_detail": [list(h) for h in self.hypothesis_detail],
-            "value": None if self.value is None else float("%.12g" % self.value),
+            "value": None if self.value is None else round12(self.value),
             "exact_form": self.exact_form,
             "notes": self.notes,
         }
@@ -259,21 +261,17 @@ def surface_bound(g: int, weak: bool = False) -> BoundReport:
     )
 
 
-def _order_value(spec: GroupSpec):
-    order = group_order(spec)
-    return order.m if order.is_finite else math.inf
-
-
-def free_product_bound(factors) -> BoundReport:
+def free_product_bound(orders) -> BoundReport:
     """sqrt(2) for a nontrivial free product, excluding the Z2 * Z2 case.
 
-    With three or more nontrivial factors the hypothesis always holds after
-    grouping (any two factors already form an infinite group).
+    `orders` holds each factor's order: an integer >= 1, or math.inf for an
+    infinite factor, as `groups.group_order` gives it.  With three or more
+    nontrivial factors the hypothesis always holds after grouping (any two
+    factors already form an infinite group).
     """
-    factors = list(factors)
-    if len(factors) < 2:
+    orders = sorted(_validate_index(o, "factor order") for o in orders)
+    if len(orders) < 2:
         raise ValueError("a free product needs at least two factors")
-    orders = sorted(_order_value(f) for f in factors)
     nontrivial = [o for o in orders if o > 1]
     if len(nontrivial) < 2:
         hyp = (("two_nontrivial_factors", False, f"orders {orders}"),)
@@ -291,6 +289,28 @@ def free_product_bound(factors) -> BoundReport:
     if not ok:
         return BoundReport("bucher_free_product", False, hyp, None)
     return BoundReport("bucher_free_product", True, hyp, SQRT2, exact_form="sqrt(2)")
+
+
+def surface_genus(spec: GroupSpec) -> int | None:
+    """Genus of a surface group or of Z x a surface group, else None."""
+    if spec.family == "direct_product_with_Z":
+        spec = spec.inner
+    return spec.genus if spec.family == "surface" else None
+
+
+def group_bound(spec: GroupSpec) -> BoundReport | None:
+    """The theorem bounding this group's growth rate from below, or None.
+
+    A free product gets the sqrt(2) bound from its factors' orders, a torus
+    bundle the Osin bound, and a surface group or Z x a surface group the
+    4g-3 bound; no other family has a theorem here.
+    """
+    if spec.family == "free_product":
+        return free_product_bound(group_order(f) for f in spec.factors)
+    if spec.family == "torus_bundle":
+        return osin_bound(spec.matrix)
+    genus = surface_genus(spec)
+    return None if genus is None else surface_bound(genus)
 
 
 def _validate_index(i, name: str):
@@ -371,44 +391,7 @@ def solvable_bound() -> BoundReport:
     return BoundReport("solvable_universal", True, hyp, SOLVABLE_UNIVERSAL, exact_form="2^(1/6)")
 
 
-@dataclass(frozen=True)
-class TransferBound:
-    """Growth bound pushed from a finite-index subgroup to the whole group."""
-
-    value: float
-    omega_sub: float
-    degree: int
-    exponent: float
-    rule: str
-
-
-def finite_index_transfer(omega_sub: float, degree: int, exponent_rule=None, rule_label: str | None = None) -> TransferBound:
-    """omega_sub^(e(degree)); the default exponent rule is e(d) = 1/(2d+1).
-
-    The rule is configurable because no canonical exponent is fixed by the
-    theory consumed here; whichever rule is used is recorded in the result.
-    """
-    if omega_sub < 1:
-        raise DomainError(f"subgroup growth rate must be >= 1, got {omega_sub}")
-    if not isinstance(degree, int) or degree < 1:
-        raise ValueError(f"covering degree must be an integer >= 1, got {degree!r}")
-    if exponent_rule is None:
-        exponent = 1.0 / (2 * degree + 1)
-        label = "1/(2d+1)"
-    else:
-        exponent = float(exponent_rule(degree))
-        label = rule_label or "custom"
-    return TransferBound(
-        value=omega_sub ** exponent,
-        omega_sub=omega_sub,
-        degree=degree,
-        exponent=exponent,
-        rule=label,
-    )
-
-
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(NamedTuple):
     a: int
     b: int
     c: int

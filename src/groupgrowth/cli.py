@@ -15,26 +15,23 @@ import sys
 from .bounds import (
     amalgam_bound,
     bcg_bound,
-    free_product_bound,
+    group_bound,
     hnn_bound,
     make_bcg_table,
     osin_bound,
     scan_hyperbolic,
     solvable_bound,
     surface_bound,
+    surface_genus,
     write_scan_csv,
 )
 from .cayley import growth_table, search_generating_sets, write_table_csv
 from .errors import GroupGrowthError
 from .groups import GroupSpec, MatrixZ2, make_group
 from .manifold import ManifoldSpec, classify_growth, group_of_manifold, universal_constant
-from .rates import estimate_rates, root_bounds
+from .rates import estimate_rates, root_bounds, round12
 
 VERIFY_MARGIN = 1e-9
-
-
-def _f12(x: float) -> float:
-    return float("%.12g" % x)
 
 
 def _parse_matrix(text: str) -> MatrixZ2:
@@ -164,7 +161,7 @@ def _cmd_bound(args) -> int:
     elif name == "surface":
         genus = args.genus
         if genus is None and args.spec:
-            genus = _surface_genus(_load_group_spec(args.spec))
+            genus = surface_genus(_load_group_spec(args.spec))
         if genus is None:
             raise ValueError("--theorem surface needs --genus (or a surface group --spec)")
         report = surface_bound(genus, weak=args.weak)
@@ -174,7 +171,7 @@ def _cmd_bound(args) -> int:
         spec = _load_group_spec(args.spec)
         if spec.family != "free_product":
             raise ValueError(f"spec family is {spec.family}, expected free_product")
-        report = free_product_bound(spec.factors)
+        report = group_bound(spec)
     elif name in ("amalgam", "hnn"):
         if not args.indices:
             raise ValueError(f"--theorem {name} needs --indices i1,i2 (use 'inf' for infinite)")
@@ -194,22 +191,6 @@ def _cmd_bound(args) -> int:
     return 0
 
 
-def _surface_genus(spec: GroupSpec):
-    """Genus of a surface group or of Z x a surface group, else None."""
-    if spec.family == "direct_product_with_Z":
-        spec = spec.inner
-    return spec.genus if spec.family == "surface" else None
-
-
-def _applicable_bound(spec: GroupSpec):
-    if spec.family == "free_product":
-        return free_product_bound(spec.factors)
-    if spec.family == "torus_bundle":
-        return osin_bound(spec.matrix)
-    genus = _surface_genus(spec)
-    return None if genus is None else surface_bound(genus)
-
-
 def _cmd_verify(args) -> int:
     if args.kmax < 1:
         raise ValueError(f"--kmax must be >= 1 for verify, got {args.kmax}")
@@ -223,12 +204,12 @@ def _cmd_verify(args) -> int:
     if not roots:
         raise ValueError("the budget ran out before sphere 1; no root bound to verify")
     min_root = min(roots)
-    bound = _applicable_bound(spec)
+    bound = group_bound(spec)
     report = {
         "spec": spec.to_dict(),
         "kmax": table.kmax,
         "complete": table.complete,
-        "min_root_bound": _f12(min_root),
+        "min_root_bound": round12(min_root),
         "margin": VERIFY_MARGIN,
     }
     if bound is None or not bound.hypotheses_ok:
@@ -264,8 +245,8 @@ def _cmd_scan(args) -> int:
                 else summary.min_lambda.exact_str(),
                 "min_lambda": None
                 if summary.min_lambda is None
-                else _f12(float(summary.min_lambda)),
-                "min_osin_bound": None if summary.min_osin is None else _f12(summary.min_osin),
+                else round12(float(summary.min_lambda)),
+                "min_osin_bound": None if summary.min_osin is None else round12(summary.min_osin),
                 "lambda_le_2": summary.lambda_le_2,
                 "witness": None if summary.witness is None else list(summary.witness),
                 "note": summary.note,
@@ -297,7 +278,7 @@ def _cmd_search(args) -> int:
         return {
             "names": list(gens.names),
             "elements": [handle.format_element(el) for el in gens.elements],
-            "u_k": _f12(u_k),
+            "u_k": round12(u_k),
         }
 
     out = {

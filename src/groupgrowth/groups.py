@@ -8,6 +8,7 @@ encodes to the empty key.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from .errors import InvalidSpec, InvalidGenus
@@ -241,7 +242,7 @@ class GroupSpec(SpecBase):
         if family == "free_product":
             if len(self.factors) < 2:
                 raise InvalidSpec("free_product needs at least two factors")
-            if any(group_order(f).m == 1 for f in self.factors):
+            if any(group_order(f) == 1 for f in self.factors):
                 raise InvalidSpec("free_product factors must be non-trivial")
 
     # -- constructors ------------------------------------------------------
@@ -302,31 +303,13 @@ class GroupSpec(SpecBase):
         return self.family
 
 
-@dataclass(frozen=True)
-class GroupOrder:
-    kind: str  # "finite" | "infinite"
-    m: int | None = None
-
-    @classmethod
-    def finite(cls, m: int) -> "GroupOrder":
-        return cls("finite", m)
-
-    @classmethod
-    def infinite(cls) -> "GroupOrder":
-        return cls("infinite")
-
-    @property
-    def is_finite(self) -> bool:
-        return self.kind == "finite"
-
-
-def group_order(spec: GroupSpec) -> GroupOrder:
-    """Order of the group: finite only for trivial and cyclic specs."""
+def group_order(spec: GroupSpec) -> int | float:
+    """Order of the group: finite only for trivial and cyclic specs, else math.inf."""
     if spec.family == "trivial":
-        return GroupOrder.finite(1)
+        return 1
     if spec.family == "cyclic":
-        return GroupOrder.finite(spec.m)
-    return GroupOrder.infinite()
+        return spec.m
+    return math.inf
 
 
 @dataclass(frozen=True)
@@ -359,8 +342,7 @@ def make_generating_set(handle: "GroupHandle", named, symmetrize: bool = True) -
             seen.add(el)
             base.append((name, el))
     if not base:
-        order = group_order(handle.spec)
-        if not (order.is_finite and order.m == 1):
+        if group_order(handle.spec) != 1:
             raise InvalidSpec("generating set must be nonempty")
     out = list(base)
     if symmetrize:

@@ -151,19 +151,20 @@ class RateEstimates:
 
     def to_dict(self) -> dict:
         return {
-            "root_bounds": [_round12(u) for u in self.root_bounds],
-            "ratios": [_round12(r) for r in self.ratios],
-            "inf_root": _round12(self.inf_root),
-            "entropy": _round12(self.entropy),
+            "root_bounds": [round12(u) for u in self.root_bounds],
+            "ratios": [round12(r) for r in self.ratios],
+            "inf_root": round12(self.inf_root),
+            "entropy": round12(self.entropy),
             "window": None if self.window is None else list(self.window),
             "verdict": _verdict_label(self.verdict, self.degree),
             "extrapolated_rate": None
             if self.extrapolated_rate is None
-            else _round12(self.extrapolated_rate),
+            else round12(self.extrapolated_rate),
         }
 
 
-def _round12(x: float) -> float:
+def round12(x: float) -> float:
+    """x rounded to the 12 significant digits every JSON report carries."""
     return float("%.12g" % x)
 
 

@@ -7,8 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from groupgrowth import (
-    DomainError,
-    GroupSpec,
     InvalidGenus,
     MatrixZ2,
     QuadraticValue,
@@ -17,7 +15,6 @@ from groupgrowth import (
     FOURTH_ROOT_2,
     amalgam_bound,
     bcg_bound,
-    finite_index_transfer,
     free_product_bound,
     hnn_bound,
     is_hyperbolic,
@@ -195,18 +192,21 @@ def test_surface_bound_values():
 
 
 def test_free_product_gate():
-    ok = free_product_bound([GroupSpec.cyclic(2), GroupSpec.cyclic(3)])
+    ok = free_product_bound([2, 3])
     assert ok.hypotheses_ok and ok.value == SQRT2
     assert ok.theorem == "bucher_free_product"
     # the infinite dihedral exclusion
-    bad = free_product_bound([GroupSpec.cyclic(2), GroupSpec.cyclic(2)])
+    bad = free_product_bound([2, 2])
     assert not bad.hypotheses_ok and bad.value is None
     # three factors always pass, even all Z2
-    three = free_product_bound([GroupSpec.cyclic(2)] * 3)
+    three = free_product_bound([2] * 3)
     assert three.hypotheses_ok
-    # an infinite factor counts as order infinity
-    inf_factor = free_product_bound([GroupSpec.cyclic(2), GroupSpec.free(1)])
+    # an infinite factor has order math.inf
+    inf_factor = free_product_bound([2, math.inf])
     assert inf_factor.hypotheses_ok
+    for bad in (0, 2.5, True, "2"):
+        with pytest.raises(ValueError):
+            free_product_bound([bad, 3])
 
 
 def test_amalgam_gate():
@@ -231,29 +231,7 @@ def test_index_validation():
             amalgam_bound(bad, 2)
 
 
-# --- transfer, bcg, solvable -----------------------------------------------------------
-
-
-def test_finite_index_transfer_default_rule():
-    t = finite_index_transfer(SQRT2, 4)
-    assert t.exponent == pytest.approx(1 / 9)
-    assert t.value == pytest.approx(2 ** (1 / 18))
-    assert t.rule == "1/(2d+1)"
-    t2 = finite_index_transfer(3.0, 1)
-    assert t2.value == pytest.approx(3 ** (1 / 3))
-
-
-def test_finite_index_transfer_custom_rule():
-    t = finite_index_transfer(4.0, 2, exponent_rule=lambda d: 1 / d, rule_label="1/d")
-    assert t.value == pytest.approx(2.0)
-    assert t.rule == "1/d"
-
-
-def test_finite_index_transfer_validation():
-    with pytest.raises(DomainError):
-        finite_index_transfer(0.9, 2)
-    with pytest.raises(ValueError):
-        finite_index_transfer(2.0, 0)
+# --- bcg, solvable -----------------------------------------------------------
 
 
 def test_bcg_table_and_bound():

@@ -153,7 +153,7 @@ def test_verify_failure_exits_one(tb_spec, capsys, monkeypatch):
     # force an absurd bound to exercise the failure path
     monkeypatch.setattr(
         cli,
-        "_applicable_bound",
+        "group_bound",
         lambda spec: BoundReport("osin_polycyclic", True, (), 100.0, "100"),
     )
     code, report = run_json(["verify", "--spec", tb_spec, "--kmax", "4"], capsys)
@@ -220,6 +220,39 @@ def test_classify_tag_only_kind(tmp_path, capsys):
     assert code == 0
     assert report["group"] is None
     assert report["growth"]["verdict"] == "polynomial"
+
+
+def _connected_sum_file(tmp_path, *summands):
+    path = tmp_path / "m.json"
+    pieces = [{"kind": kind, "params": params} for kind, params in summands]
+    path.write_text(json.dumps({"kind": "connected_sum", "params": {"summands": pieces}}))
+    return str(path)
+
+
+def test_classify_sum_with_tag_only_summand(tmp_path, capsys):
+    spec = _connected_sum_file(
+        tmp_path, ("lens_like", {"m": 2}), ("twisted_I_bundle_klein_double", {})
+    )
+    code, report = run_json(["classify", "--spec", spec], capsys)
+    assert code == 0
+    assert report["group"] is None
+    assert report["growth"] == {
+        "verdict": "exponential",
+        "lower_bound": 1.41421356237,
+        "theorem_tag": "bucher_free_product",
+        "notes": "free product of 2 pieces",
+    }
+
+
+@pytest.mark.parametrize("kind", ["spherical", "lens_like"])
+def test_classify_rejects_a_trivial_summand(kind, tmp_path, capsys):
+    spec = _connected_sum_file(tmp_path, (kind, {"m": 1}), ("three_torus", {}))
+    code, out, err = run(["classify", "--spec", spec], capsys)
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: a connected sum summand must have a non-trivial group; "
+        "S^3 (spherical or lens_like with m = 1) is the unit of #\n"
+    )
 
 
 def test_universal_cli(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from groupgrowth import (
     GroupSpec,
@@ -12,6 +13,7 @@ from groupgrowth import (
     SQRT2,
     classify_growth,
     estimate_rates,
+    group_bound,
     group_of_manifold,
     growth_table,
     make_bcg_table,
@@ -48,6 +50,8 @@ def test_kind_registry():
 def test_manifold_validation():
     with pytest.raises(InvalidSpec):
         ManifoldSpec.connected_sum([ManifoldSpec.spherical(5)])
+    with pytest.raises(InvalidSpec, match="non-trivial"):  # S^3 is the unit of #
+        ManifoldSpec.connected_sum([ManifoldSpec.lens_like(1), ManifoldSpec.three_torus()])
     with pytest.raises(InvalidSpec):
         ManifoldSpec.hyperbolic_torus_bundle(MatrixZ2.identity())
     with pytest.raises(InvalidSpec):
@@ -208,6 +212,38 @@ def test_classify_degenerate_connected_sum():
         )
     )
     assert gc2.verdict == "exponential"
+
+
+HYPERBOLIC_MATRICES = [MatrixZ2(2, 1, 1, 1), MatrixZ2(1, 1, 1, 0), MatrixZ2(3, 1, 2, 1), MatrixZ2(0, 1, 1, 3)]
+_pieces = st.one_of(
+    st.builds(ManifoldSpec.spherical, st.integers(2, 12)),
+    st.builds(ManifoldSpec.lens_like, st.integers(2, 12)),
+    st.just(ManifoldSpec.three_torus()),
+    st.just(ManifoldSpec.nil_manifold()),
+    st.builds(ManifoldSpec.seifert_product, st.integers(2, 6)),
+    st.sampled_from(HYPERBOLIC_MATRICES).map(ManifoldSpec.hyperbolic_torus_bundle),
+)
+ENUMERABLE_MANIFOLDS = st.one_of(
+    st.just(ManifoldSpec.spherical(1)),
+    st.recursive(
+        _pieces,
+        lambda children: st.tuples(st.lists(children, max_size=3), st.integers(0, 2))
+        .filter(lambda t: len(t[0]) + t[1] >= 2)
+        .map(lambda t: ManifoldSpec.connected_sum(*t)),
+        max_leaves=6,
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ENUMERABLE_MANIFOLDS)
+def test_classify_takes_its_bound_from_the_group(manifold):
+    bound = group_bound(group_of_manifold(manifold))
+    expected = (None, None)
+    if bound is not None and bound.hypotheses_ok:
+        expected = (bound.value, bound.theorem)
+    gc = classify_growth(manifold)
+    assert (gc.lower_bound, gc.theorem_tag) == expected
 
 
 def test_growth_class_dict_shape():
