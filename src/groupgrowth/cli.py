@@ -205,27 +205,21 @@ def _cmd_verify(args) -> int:
         raise ValueError("the budget ran out before sphere 1; no root bound to verify")
     min_root = min(roots)
     bound = group_bound(spec)
+    applicable = bound is not None and bound.hypotheses_ok
+    ok = not applicable or min_root >= bound.value - VERIFY_MARGIN
     report = {
         "spec": spec.to_dict(),
         "kmax": table.kmax,
         "complete": table.complete,
         "min_root_bound": round12(min_root),
         "margin": VERIFY_MARGIN,
+        "applicable": applicable,
+        "bound": None if bound is None else bound.to_dict(),
+        "pass": ok,
+        "notes": f"min_k gamma(k)^(1/k) = {min_root:.12g} vs bound {bound.value:.12g}"
+        if applicable
+        else "no applicable lower bound for this family; nothing to check",
     }
-    if bound is None or not bound.hypotheses_ok:
-        report["applicable"] = False
-        report["bound"] = None if bound is None else bound.to_dict()
-        report["pass"] = True
-        report["notes"] = "no applicable lower bound for this family; nothing to check"
-        _emit(report, args.out)
-        return 0
-    ok = min_root >= bound.value - VERIFY_MARGIN
-    report["applicable"] = True
-    report["bound"] = bound.to_dict()
-    report["pass"] = bool(ok)
-    report["notes"] = (
-        f"min_k gamma(k)^(1/k) = {min_root:.12g} vs bound {bound.value:.12g}"
-    )
     _emit(report, args.out)
     return 0 if ok else 1
 
@@ -318,7 +312,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_universal(args) -> int:
     table = _load_bcg(args.bcg) if args.bcg else None
-    report = universal_constant(include_bcg=not args.no_bcg, bcg_table=table)
+    report = universal_constant(None if args.no_bcg else table)
     _emit(report.to_dict(), args.out)
     return 0
 

@@ -320,9 +320,6 @@ class GeneratingSet:
     symmetrized: bool
     names: tuple[str, ...]
 
-    def __len__(self) -> int:
-        return len(self.elements)
-
     def named(self):
         return list(zip(self.names, self.elements))
 
@@ -405,28 +402,14 @@ class GroupHandle:
         return "(" + ",".join(map(str, a)) + ")"
 
 
-class TrivialGroup(GroupHandle):
-    identity = 0
-
-    def mul(self, a, b):
-        return 0
-
-    def inv(self, a):
-        return 0
-
-    def _letters(self):
-        return []
-
-    def format_element(self, a) -> str:
-        return "1"
-
-
 class CyclicGroup(GroupHandle):
+    """Cyclic group of order m on residues mod m; the trivial group is m = 1."""
+
     identity = 0
 
     def __init__(self, spec: GroupSpec):
         super().__init__(spec)
-        self.m = spec.m
+        self.m = group_order(spec)
 
     def mul(self, a, b):
         return (a + b) % self.m
@@ -712,7 +695,7 @@ class DirectProductWithZ(GroupHandle):
 
 
 _HANDLE_CLASSES = {
-    "trivial": TrivialGroup,
+    "trivial": CyclicGroup,
     "cyclic": CyclicGroup,
     "free": FreeGroup,
     "free_abelian": FreeAbelianGroup,

@@ -219,7 +219,7 @@ def classify_growth(manifold: ManifoldSpec) -> GrowthClass:
     )
 
 
-def universal_constant(include_bcg: bool = True, bcg_table=None) -> BoundReport:
+def universal_constant(bcg_table=None) -> BoundReport:
     """Minimum over the known branch constants, flagging unknown branches.
 
     The three closed-form branches contribute 2^(1/4) (JSJ), sqrt(2)
@@ -232,7 +232,7 @@ def universal_constant(include_bcg: bool = True, bcg_table=None) -> BoundReport:
         ("jsj_amalgam_or_hnn", FOURTH_ROOT_2, "2^(1/4)"),
         ("solvable_torus_bundle", SOLVABLE_UNIVERSAL, "2^(1/6)"),
     ]
-    table = bcg_table if (include_bcg and bcg_table) else {}
+    table = bcg_table or {}
     for branch, key in (("hyperbolic", (3, 1)), ("seifert_sl2", (2, 1))):
         c = table.get(key)
         branches.append((branch, None if c is None else math.exp(c), f"e^{{c{key}}}"))

@@ -1,26 +1,26 @@
-"""Dehn's algorithm for the standard genus-g surface relator.
+"""Dehn's algorithm for the standard genus-g surface relator, run as half swaps.
 
 The relator is the product of commutators [a1,b1]...[ag,bg], length 4g over
-2g generators.  Any two distinct cyclic variants of the relator or its
-inverse share no common subword of length 2 (all 8g ordered letter pairs are
-distinct), so a length-2 window already pins down the variant.  That gives
-linear-time detection of long relator subwords:
+2g generators.  Its 8g cyclic variants (rotations of the relator and of its
+inverse) have distinct halves, so one table, ``SurfaceRelator._half_swap``,
+maps each half v[:2g] to the inverse of the other half, invert(v[2g:]).  A
+half swap replaces such a window of a word by its table value, then
+free-reduces.
 
-* a subword strictly longer than half the relator (> 2g letters) is replaced
-  by the inverse of the complementary piece, strictly shortening the word;
-* a subword of exactly half the relator (2g letters) can be swapped for the
-  inverse of the other half, preserving length.
+* A swap that cancels at neither seam keeps the length.  These swaps
+  generate the closure whose least word is the canonical form.
+* Dehn's move is the half swap whose right seam cancels.  A match longer
+  than half, w[i:i+m] = v[:m] with m > 2g, begins with the window v[:2g],
+  whose swap value ends with -v[2g] = -w[i+2g], so free reduction cancels
+  exactly the m-2g matched letters past the window and leaves Dehn's
+  replacement invert(v[m:]).  A swap that shortens only at its left seam
+  shows such a match one letter earlier, so the leftmost shortening swap
+  is Dehn's leftmost, longest match.
 
-Iterating the first move is Dehn's algorithm and decides the word problem.
-The second move generates the length-preserving closure used for canonical
-forms.
-
-Both moves start at a length-2g window that is a key of
-``SurfaceRelator._half_swap``: a match longer than half begins with one, and
-the swaps act on exactly those windows.  A free-reduced word with no such
-window is therefore its own canonical form: ``dehn_reduce`` returns it
-unchanged and its closure is the word alone.  ``SurfaceGroup`` in
-``groups`` uses this to skip both functions on almost every product.
+A free-reduced word with no half window is therefore its own canonical form:
+``dehn_reduce`` returns it unchanged and its closure is the word alone.
+``SurfaceGroup`` in ``groups`` uses this to skip both functions on almost
+every product.
 """
 
 from __future__ import annotations
@@ -32,13 +32,12 @@ DEFAULT_CLOSURE_BUDGET = 20000
 
 
 class SurfaceRelator:
-    """Precomputed cyclic variants and lookup tables for one genus."""
+    """The cyclic variants of one genus's relator and their half-swap table."""
 
     def __init__(self, genus: int):
         if genus < 2:
             raise ValueError("surface relator needs genus >= 2")
         self.genus = genus
-        self.n_generators = 2 * genus
         relator = []
         for i in range(genus):
             a, b = 2 * i + 1, 2 * i + 2
@@ -51,54 +50,16 @@ class SurfaceRelator:
         for base in (self.relator, invert(self.relator)):
             for shift in range(self.length):
                 variants.append(base[shift:] + base[:shift])
-        assert len(set(variants)) == 8 * genus
         self.variants: tuple[Word, ...] = tuple(variants)
-
-        # A length-2 subword of any variant determines variant and offset;
-        # with all rotations stored, matching reduces to prefix matching.
-        self._by_pair: dict[tuple[int, int], Word] = {}
-        for v in self.variants:
-            self._by_pair[(v[0], v[1])] = v
         # exactly-half prefix -> inverse of the complementary half
         self._half_swap: dict[Word, Word] = {
             v[: self.half]: invert(v[self.half :]) for v in self.variants
         }
-
-    def _match_at(self, word: Word, i: int):
-        """Longest common prefix of word[i:] with the variant pinned by its pair."""
-        if i + 1 >= len(word):
-            return None, 0
-        v = self._by_pair.get((word[i], word[i + 1]))
-        if v is None:
-            return None, 0
-        m = 2
-        limit = min(self.length, len(word) - i)
-        while m < limit and word[i + m] == v[m]:
-            m += 1
-        return v, m
-
-
-def dehn_reduce(word, relator: SurfaceRelator) -> Word:
-    """Shorten a word with Dehn's algorithm until no more-than-half subword remains.
-
-    When several matches exist, the leftmost is replaced, taking the longest
-    match at that position.  The result equals the input in the surface group
-    and never gets longer; the empty output means the input was trivial.
-    """
-    w = free_reduce(word)
-    while True:
-        replaced = False
-        for i in range(len(w) - relator.half):
-            v, m = relator._match_at(w, i)
-            if v is not None and m > relator.half:
-                w = free_reduce(w[:i] + invert(v[m:]) + w[i + m :])
-                replaced = True
-                break
-        if not replaced:
-            return w
+        assert len(self._half_swap) == 8 * genus
 
 
 def _half_swaps(w: Word, relator: SurfaceRelator):
+    """Free-reduced results of the half swaps of ``w``, leftmost window first."""
     half = relator.half
     for i in range(len(w) - half + 1):
         repl = relator._half_swap.get(w[i : i + half])
@@ -106,13 +67,29 @@ def _half_swaps(w: Word, relator: SurfaceRelator):
             yield free_reduce(w[:i] + repl + w[i + half :])
 
 
-def geodesic_closure(word, relator: SurfaceRelator, budget: int = DEFAULT_CLOSURE_BUDGET):
+def dehn_reduce(word, relator: SurfaceRelator) -> Word:
+    """Shorten a word with Dehn's algorithm until no more-than-half subword remains.
+
+    Each step applies the leftmost half swap that shortens the word, which is
+    Dehn's replacement of the leftmost, longest match (see the module
+    docstring).  The result equals the input in the surface group and never
+    gets longer; the empty output means the input was trivial.
+    """
+    w = free_reduce(word)
+    while True:
+        shorter = next((u for u in _half_swaps(w, relator) if len(u) < len(w)), None)
+        if shorter is None:
+            return w
+        w = shorter
+
+
+def geodesic_closure(word, relator: SurfaceRelator):
     """All words reachable from a Dehn-reduced word by exactly-half swaps.
 
     On Dehn-reduced input the swaps cannot cancel, so the closure is
     length-preserving; a swap that does shorten restarts the closure from the
     shorter word after re-reducing it.  Raises ClosureBudgetExceeded when the
-    closure outgrows the budget.
+    closure outgrows DEFAULT_CLOSURE_BUDGET words.
     """
     w = tuple(word)
     while True:
@@ -129,9 +106,9 @@ def geodesic_closure(word, relator: SurfaceRelator, budget: int = DEFAULT_CLOSUR
                     if cand not in seen:
                         seen.add(cand)
                         nxt.append(cand)
-                        if len(seen) > budget:
+                        if len(seen) > DEFAULT_CLOSURE_BUDGET:
                             raise ClosureBudgetExceeded(
-                                f"geodesic closure exceeded {budget} words"
+                                f"geodesic closure exceeded {DEFAULT_CLOSURE_BUDGET} words"
                             )
                 if restart is not None:
                     break
@@ -141,11 +118,11 @@ def geodesic_closure(word, relator: SurfaceRelator, budget: int = DEFAULT_CLOSUR
         w = dehn_reduce(restart, relator)
 
 
-def surface_canonical(word, relator: SurfaceRelator, budget: int = DEFAULT_CLOSURE_BUDGET) -> Word:
+def surface_canonical(word, relator: SurfaceRelator) -> Word:
     """Lexicographically least word in the half-swap closure of a Dehn-reduced word.
 
     Letter order is a < a' < b < b' < ...; since words in one closure share a
     length, this is a plain lexicographic minimum.
     """
-    closure = geodesic_closure(word, relator, budget)
+    closure = geodesic_closure(word, relator)
     return min(closure, key=lambda u: tuple(letter_rank(x) for x in u))

@@ -374,7 +374,7 @@ def test_format_element_examples():
     assert make_group(GroupSpec.cyclic(6)).format_element(4) == "a^4"
     assert make_group(GroupSpec.cyclic(6)).format_element(0) == "1"
     assert make_group(GroupSpec.free(2)).format_element((1, -2)) == "a b'"
-    assert make_group(GroupSpec.trivial()).format_element(()) == "1"
+    assert make_group(GroupSpec.trivial()).format_element(0) == "1"
 
 
 def test_describe_strings():

@@ -289,9 +289,3 @@ def test_universal_constant_with_curvature_table():
     assert r.value == pytest.approx(math.exp(0.05))
     detail = {name: ok for name, ok, _ in r.hypothesis_detail}
     assert detail["hyperbolic"] is True
-
-
-def test_universal_constant_ignores_table_when_disabled():
-    table = make_bcg_table({(3, 1): 0.05, (2, 1): 0.05})
-    r = universal_constant(include_bcg=False, bcg_table=table)
-    assert r.value == SOLVABLE_UNIVERSAL

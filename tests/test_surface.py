@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from groupgrowth import surface
 from groupgrowth.errors import ClosureBudgetExceeded
 from groupgrowth.surface import (
     SurfaceRelator,
@@ -16,6 +17,15 @@ R2 = SurfaceRelator(2)
 
 letters4 = st.integers(min_value=-4, max_value=4).filter(lambda x: x != 0)
 words4 = st.lists(letters4, max_size=10).map(tuple)
+# single letters and relator pieces longer than half, so that words often hold
+# overlapping Dehn matches, where the choice of match changes the output
+_pieces = [(x,) for x in range(-4, 5) if x] + [
+    v[a:b]
+    for v in R2.variants
+    for a in range(R2.length)
+    for b in range(a + R2.half + 1, R2.length + 1)
+]
+piece_words4 = st.lists(st.sampled_from(_pieces), max_size=5).map(lambda ps: sum(ps, ()))
 
 
 def test_relator_layout():
@@ -57,9 +67,10 @@ def test_generic_word_has_singleton_closure():
     assert geodesic_closure(w, R2) == {w}
 
 
-def test_closure_budget_raises():
+def test_closure_budget_raises(monkeypatch):
+    monkeypatch.setattr(surface, "DEFAULT_CLOSURE_BUDGET", 1)
     with pytest.raises(ClosureBudgetExceeded):
-        geodesic_closure((1, 2, -1, -2), R2, budget=1)
+        geodesic_closure((1, 2, -1, -2), R2)
 
 
 def test_genus_three_relator():
@@ -74,15 +85,20 @@ def test_genus_below_two_rejected():
         SurfaceRelator(1)
 
 
-@settings(max_examples=60, deadline=None)
-@given(words4)
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(words4, piece_words4))
 def test_dehn_reduce_matches_reference(w):
     ours = dehn_reduce(free_reduce(w), R2)
-    ref = oracles.dehn_reduce_ref(w, 2)
     assert len(ours) <= len(free_reduce(w))
-    # the two reducers may pick different short words for the same element
-    assert oracles.surface_equal_ref(ours, ref, 2)
-    assert (ours == ()) == (ref == ())
+    # both replace the leftmost, longest match, so they agree word for word
+    assert ours == oracles.dehn_reduce_ref(w, 2)
+
+
+@pytest.mark.parametrize("genus, max_len", [(2, 5), (3, 4)])
+def test_dehn_reduce_equals_reference_on_all_short_words(genus, max_len):
+    relator = SurfaceRelator(genus)
+    for w in oracles.freely_reduced_words(2 * genus, max_len):
+        assert dehn_reduce(w, relator) == oracles.dehn_reduce_ref(w, genus), w
 
 
 @settings(max_examples=40, deadline=None)
