@@ -545,9 +545,6 @@ class SurfaceGroup(FreeGroup):
         super().__init__(spec, [f"{x}{i}" for i in range(1, spec.genus + 1) for x in "ab"])
         self.relator = SurfaceRelator(spec.genus)
 
-    def _canon(self, word):
-        return self._normal(free_reduce(word))
-
     def _normal(self, w):
         """Canonical form of the free-reduced word ``w``."""
         half, halves = self.relator.half, self.relator._half_swap
@@ -560,7 +557,7 @@ class SurfaceGroup(FreeGroup):
         return self._normal(cancel_seam(a, b))
 
     def inv(self, a):
-        return self._canon(invert(a))
+        return self._normal(free_reduce(invert(a)))
 
 
 class TorusBundleGroup(GroupHandle):
@@ -613,23 +610,17 @@ class FreeProductGroup(GroupHandle):
         self.factor_handles = tuple(make_group(f) for f in spec.factors)
 
     def mul(self, a, b):
-        left = list(a)
-        right = list(b)
-        j = 0
-        while left and j < len(right):
-            si, pi = left[-1]
-            sj, pj = right[j]
-            if si != sj:
-                break
-            prod = self.factor_handles[si].mul(pi, pj)
-            if prod == self.factor_handles[si].identity:
-                left.pop()
-                j += 1
-            else:
-                left[-1] = (si, prod)
-                j += 1
-                break
-        return tuple(left) + tuple(right[j:])
+        # peel syllables at the seam, as words.cancel_seam does for letters
+        i, j = len(a), 0
+        while i and j < len(b) and a[i - 1][0] == b[j][0]:
+            side = b[j][0]
+            handle = self.factor_handles[side]
+            prod = handle.mul(a[i - 1][1], b[j][1])
+            i -= 1
+            j += 1
+            if prod != handle.identity:
+                return a[:i] + ((side, prod),) + b[j:]
+        return a[:i] + b[j:]
 
     def inv(self, a):
         return tuple((s, self.factor_handles[s].inv(p)) for s, p in reversed(a))
@@ -664,7 +655,9 @@ class DirectProductWithZ(GroupHandle):
         self.inner = make_group(spec.inner)
         self.identity = (0, self.inner.identity)
         used = {name for name, _ in self.inner._letters()}
-        self._z_name = next(c for c in ("t", "z", "s", "w", "u", "v") if c not in used)
+        # t1 .. t(n+1) hold a name that none of the n inner letters takes
+        names = (*"tzswuv", *(f"t{i}" for i in range(1, len(used) + 2)))
+        self._z_name = next(c for c in names if c not in used)
 
     def mul(self, a, b):
         return (a[0] + b[0], self.inner.mul(a[1], b[1]))

@@ -190,7 +190,7 @@ def estimate_rates(table: GrowthTable, window=None) -> RateEstimates:
         verdict = estimate.verdict
         degree = estimate.degree
         if verdict != "polynomial":
-            extrapolated = extrapolate_rate(table, win)
+            extrapolated = math.exp(_log_gamma_slope(table, *win, float))
     return RateEstimates(
         root_bounds=tuple(roots),
         ratios=tuple(ratios),

@@ -21,6 +21,12 @@ A free-reduced word with no half window is therefore its own canonical form:
 ``dehn_reduce`` returns it unchanged and its closure is the word alone.
 ``SurfaceGroup`` in ``groups`` uses this to skip both functions on almost
 every product.
+
+``geodesic_closure`` needs no Dehn reduction of its own.  It processes its
+input word first and tries the swaps left to right, so the first shortening
+swap it meets is exactly ``dehn_reduce``'s next step, and it restarts from
+that shorter word.  By induction on length, the closure of any free-reduced
+word equals the closure of its Dehn reduction, word for word.
 """
 
 from __future__ import annotations
@@ -84,38 +90,31 @@ def dehn_reduce(word, relator: SurfaceRelator) -> Word:
 
 
 def geodesic_closure(word, relator: SurfaceRelator):
-    """All words reachable from a Dehn-reduced word by exactly-half swaps.
+    """All words reachable from a free-reduced word by exactly-half swaps.
 
-    On Dehn-reduced input the swaps cannot cancel, so the closure is
-    length-preserving; a swap that does shorten restarts the closure from the
-    shorter word after re-reducing it.  Raises ClosureBudgetExceeded when the
-    closure outgrows DEFAULT_CLOSURE_BUDGET words.
+    One FIFO worklist from the input word.  Swaps that keep the length grow
+    the closure; a swap that shortens, which can occur even in the closure of
+    a Dehn-reduced word, returns the closure of the shorter word.  The input
+    is processed first, its swaps left to right, so on a word that is not
+    Dehn-reduced that swap is ``dehn_reduce``'s next step: the closure of a
+    word is the closure of its Dehn reduction (see the module docstring).
+    Raises ClosureBudgetExceeded past DEFAULT_CLOSURE_BUDGET words.
     """
     w = tuple(word)
-    while True:
-        seen = {w}
-        frontier = [w]
-        restart = None
-        while frontier and restart is None:
-            nxt = []
-            for u in frontier:
-                for cand in _half_swaps(u, relator):
-                    if len(cand) < len(w):
-                        restart = cand
-                        break
-                    if cand not in seen:
-                        seen.add(cand)
-                        nxt.append(cand)
-                        if len(seen) > DEFAULT_CLOSURE_BUDGET:
-                            raise ClosureBudgetExceeded(
-                                f"geodesic closure exceeded {DEFAULT_CLOSURE_BUDGET} words"
-                            )
-                if restart is not None:
-                    break
-            frontier = nxt
-        if restart is None:
-            return seen
-        w = dehn_reduce(restart, relator)
+    seen = {w}
+    queue = [w]
+    for u in queue:
+        for cand in _half_swaps(u, relator):
+            if len(cand) < len(w):
+                return geodesic_closure(cand, relator)
+            if cand not in seen:
+                seen.add(cand)
+                queue.append(cand)
+                if len(seen) > DEFAULT_CLOSURE_BUDGET:
+                    raise ClosureBudgetExceeded(
+                        f"geodesic closure exceeded {DEFAULT_CLOSURE_BUDGET} words"
+                    )
+    return seen
 
 
 def surface_canonical(word, relator: SurfaceRelator) -> Word:

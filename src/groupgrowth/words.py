@@ -7,8 +7,6 @@ a < a' < b < b' < ... (generator before its inverse).
 
 from __future__ import annotations
 
-import re
-
 Word = tuple[int, ...]
 
 ALPHABET = "abcdefghijklmnopqrstuvwxyz"
@@ -63,45 +61,17 @@ def format_word(word, names=None) -> str:
     return " ".join(parts)
 
 
-_NAME_RE = re.compile(r"[a-z][a-z0-9_]*")
-
-
-def parse_presentation(text: str) -> tuple[list[str], list[Word]]:
-    """Parse a presentation in the text form ``"a,b | a b a' b'"``.
-
-    Generators are comma-separated lowercase names before the bar; relators
-    are comma-separated after it, each a whitespace-separated sequence of
-    generator names with an optional trailing apostrophe for the inverse.
-    The bar and relator list may be omitted for a free group.
-    """
-    head, _, tail = text.partition("|")
-    gen_names = [g.strip() for g in head.split(",") if g.strip()]
-    if not gen_names:
-        raise ValueError("presentation needs at least one generator")
-    for g in gen_names:
-        if not _NAME_RE.fullmatch(g):
-            raise ValueError(f"bad generator name: {g!r}")
-    if len(set(gen_names)) != len(gen_names):
-        raise ValueError("duplicate generator name")
-    index = {g: i + 1 for i, g in enumerate(gen_names)}
-
-    relators: list[Word] = []
-    for chunk in tail.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        letters = []
-        for term in chunk.split():
-            inverse = term.endswith("'")
-            name = term[:-1] if inverse else term
-            if name not in index:
-                raise ValueError(f"unknown generator {name!r} in relator {chunk!r}")
-            letters.append(-index[name] if inverse else index[name])
-        relators.append(tuple(letters))
-    return gen_names, relators
-
-
 def parse_word(text: str, gen_names) -> Word:
-    """Parse a single word in the relator syntax against the given generators."""
-    _, relators = parse_presentation(",".join(gen_names) + " | " + text)
-    return relators[0] if relators else ()
+    """Parse whitespace-separated generator names, each with an optional ' for the inverse.
+
+    Any other token (a comma, an unknown name) raises ValueError.
+    """
+    index = {name: i + 1 for i, name in enumerate(gen_names)}
+    letters = []
+    for term in text.split():
+        inverse = term.endswith("'")
+        name = term[:-1] if inverse else term
+        if name not in index:
+            raise ValueError(f"unknown generator {name!r} in word {text!r}")
+        letters.append(-index[name] if inverse else index[name])
+    return tuple(letters)

@@ -62,6 +62,31 @@ def cyclic_ball(m, k):
     return min(m, 2 * k + 1)
 
 
+def free_product_normal_ref(syllables, factors):
+    """Normal form of a free-product word, rewritten until no rule applies.
+
+    A syllable is (factor index, factor element) and ``factors`` holds the
+    factor handles.  The two rules come from the definition: drop a syllable
+    that is the factor's identity, and multiply two neighbours from the same
+    factor into one.  Each pass applies the first rule it finds and starts
+    over, like ``dehn_reduce_ref``.
+    """
+    w = list(syllables)
+    changed = True
+    while changed:
+        changed = False
+        for i, (side, x) in enumerate(w):
+            if x == factors[side].identity:
+                del w[i]
+                changed = True
+                break
+            if i + 1 < len(w) and w[i + 1][0] == side:
+                w[i : i + 2] = [(side, factors[side].mul(x, w[i + 1][1]))]
+                changed = True
+                break
+    return tuple(w)
+
+
 # --- surface words ---------------------------------------------------------
 
 

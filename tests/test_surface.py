@@ -101,6 +101,29 @@ def test_dehn_reduce_equals_reference_on_all_short_words(genus, max_len):
         assert dehn_reduce(w, relator) == oracles.dehn_reduce_ref(w, genus), w
 
 
+def test_closure_equals_closure_of_dehn_reduction_on_all_short_words():
+    for w in oracles.freely_reduced_words(4, 6):
+        assert geodesic_closure(w, R2) == geodesic_closure(dehn_reduce(w, R2), R2), w
+
+
+@settings(max_examples=200, deadline=None)
+@given(piece_words4)
+def test_closure_equals_closure_of_dehn_reduction(w):
+    w = free_reduce(w)
+    assert geodesic_closure(w, R2) == geodesic_closure(dehn_reduce(w, R2), R2)
+
+
+def test_closure_restarts_from_a_shorter_word():
+    # a1 b1 a1' b1' b2' a1 b1 a1' is Dehn-reduced, but a half swap inside its
+    # closure cancels, so the closure restarts and ends at length 6
+    w = (1, 2, -1, -2, -4, 1, 2, -1)
+    assert dehn_reduce(w, R2) == w == oracles.dehn_reduce_ref(w, 2)
+    assert {len(u) for u in geodesic_closure(w, R2)} == {6}
+    canon = surface_canonical(w, R2)
+    assert len(canon) == 6
+    assert oracles.surface_equal_ref(canon, w, 2)
+
+
 @settings(max_examples=40, deadline=None)
 @given(words4)
 def test_canonical_constant_on_closures(w):

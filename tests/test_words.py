@@ -7,7 +7,6 @@ from groupgrowth.words import (
     format_word,
     invert,
     letter_rank,
-    parse_presentation,
     parse_word,
 )
 
@@ -60,15 +59,9 @@ def test_parse_word_names_and_inverses():
     assert parse_word("", ["a"]) == ()
     with pytest.raises(ValueError):
         parse_word("c", ["a", "b"])
-
-
-def test_parse_presentation_roundtrip():
-    names, relators = parse_presentation("a,b | a b a' b'")
-    assert names == ["a", "b"]
-    assert relators == [(1, 2, -1, -2)]
-    names, relators = parse_presentation("x, y |")
-    assert names == ["x", "y"]
-    assert relators == []
+    # a comma is no separator: "a1," names no generator, so b1 is not dropped
+    with pytest.raises(ValueError):
+        parse_word("a1, b1", ["a1", "b1"])
 
 
 def test_format_word():
