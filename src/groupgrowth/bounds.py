@@ -25,49 +25,23 @@ def _sign(x: int) -> int:
     return (x > 0) - (x < 0)
 
 
+# Both kernels apply one rule to x + y: when sign(x) and sign(y) agree or one
+# is 0, that sign is the answer; otherwise it is sign(x) * sign(x^2 - y^2).
 def _single_radical_sign(p: int, q: int, D: int) -> int:
     """Sign of p + q*sqrt(D) for integers, D >= 0."""
-    if D == 0 or q == 0:
-        return _sign(p)
-    if p == 0:
-        return _sign(q)
-    if p > 0 and q > 0:
-        return 1
-    if p < 0 and q < 0:
-        return -1
-    # mixed signs: compare |p| with |q|sqrt(D) by squaring
-    diff = p * p - q * q * D
-    if p > 0:
-        return _sign(diff)
-    return -_sign(diff)
+    sx, sy = _sign(p), _sign(q) if D else 0
+    if sx * sy >= 0:
+        return sx or sy
+    return sx * _sign(p * p - q * q * D)
 
 
 def _two_radical_sign(a: int, b: int, D1: int, c: int, D2: int) -> int:
-    """Sign of a + b*sqrt(D1) + c*sqrt(D2); D1, D2 squarefree or 0."""
-    if D1 == 0 or b == 0:
-        return _single_radical_sign(a, c, D2)
-    if D2 == 0 or c == 0:
-        return _single_radical_sign(a, b, D1)
-    if D1 == D2:
-        return _single_radical_sign(a, b + c, D1)
-    # sign of M = b*sqrt(D1) + c*sqrt(D2); never zero for distinct squarefree D
-    if b > 0 and c > 0:
-        s_m = 1
-    elif b < 0 and c < 0:
-        s_m = -1
-    else:
-        s_m = _sign(b * b * D1 - c * c * D2) * (1 if b > 0 else -1)
-    if a == 0:
-        return s_m
-    s_a = _sign(a)
-    if s_a == s_m:
-        return s_a
-    # opposite signs: compare a^2 with M^2 = b^2 D1 + c^2 D2 + 2bc sqrt(D1 D2)
-    s, D12 = squarefree_part(D1 * D2)
-    t = _single_radical_sign(a * a - b * b * D1 - c * c * D2, -2 * b * c * s, D12)
-    if t == 0:
-        return 0
-    return s_a if t > 0 else s_m
+    """Sign of a + b*sqrt(D1) + c*sqrt(D2) for integers, D1, D2 >= 0."""
+    sx, sy = _single_radical_sign(a, b, D1), _sign(c) if D2 else 0
+    if sx * sy >= 0:
+        return sx or sy
+    # x^2 - y^2 with x = a + b*sqrt(D1), y = c*sqrt(D2) has one radical again
+    return sx * _single_radical_sign(a * a + b * b * D1 - c * c * D2, 2 * a * b, D1)
 
 
 def squarefree_part(m: int) -> tuple[int, int]:

@@ -24,10 +24,3 @@ class ClosureBudgetExceeded(GroupGrowthError):
 class WindowTooSmall(GroupGrowthError, ValueError):
     """A fit window holds fewer than the required number of points."""
 
-
-class DomainError(GroupGrowthError, ValueError):
-    """Numeric argument outside the mathematical domain of the operation."""
-
-
-class FitRejected(GroupGrowthError, ValueError):
-    """Exponential-rate fit requested on a table whose growth verdict is polynomial."""

@@ -281,9 +281,7 @@ class GroupSpec(SpecBase):
 
     @classmethod
     def free_product(cls, *factors: "GroupSpec", label: str | None = None) -> "GroupSpec":
-        if len(factors) == 1 and isinstance(factors[0], (list, tuple)):
-            factors = tuple(factors[0])
-        return cls("free_product", factors=tuple(factors), label=label)
+        return cls("free_product", factors=factors, label=label)
 
     @classmethod
     def direct_product_with_Z(cls, inner: "GroupSpec", label: str | None = None) -> "GroupSpec":
@@ -633,11 +631,13 @@ class FreeProductGroup(GroupHandle):
         return b"".join(parts)
 
     def _letters(self):
-        out = []
-        for i, handle in enumerate(self.factor_handles):
-            for name, el in handle._letters():
-                out.append((f"{name}{i + 1}", ((i, el),)))
-        return out
+        letters = [
+            (i, name, el) for i, handle in enumerate(self.factor_handles) for name, el in handle._letters()
+        ]
+        # name + factor number, unless two letters would then share a name:
+        # then name.number, whose text after the last dot fixes the factor
+        dot = "" if len({f"{name}{i + 1}" for i, name, _ in letters}) == len(letters) else "."
+        return [(f"{name}{dot}{i + 1}", ((i, el),)) for i, name, el in letters]
 
     def format_element(self, a) -> str:
         if not a:

@@ -13,7 +13,7 @@ import statistics
 from dataclasses import dataclass
 
 from .cayley import GrowthTable
-from .errors import DomainError, FitRejected, WindowTooSmall
+from .errors import WindowTooSmall
 
 EXPONENTIAL_RATIO_THRESHOLD = 1.2
 POLYNOMIAL_RATIO_THRESHOLD = 1.1
@@ -115,29 +115,6 @@ def poly_degree(table: GrowthTable, window) -> DegreeEstimate:
     return DegreeEstimate(slope, doubling, "inconclusive", None, (lo, hi))
 
 
-def extrapolate_rate(table: GrowthTable, window) -> float:
-    """exp(slope) of the least-squares line through log gamma(k) on the window.
-
-    Only meaningful for exponential data; a polynomial verdict on the same
-    window rejects the fit.
-    """
-    lo, hi = _check_window(table, window)
-    estimate = poly_degree(table, window)
-    if estimate.verdict == "polynomial":
-        raise FitRejected(
-            f"window [{lo},{hi}] looks polynomial of degree {estimate.degree}; "
-            "an exponential fit would be meaningless"
-        )
-    return math.exp(_log_gamma_slope(table, lo, hi, float))
-
-
-def entropy_of(omega: float) -> float:
-    """Natural log of a growth rate; rates below 1 are outside the domain."""
-    if omega < 1:
-        raise DomainError(f"growth rate must be >= 1, got {omega}")
-    return math.log(omega)
-
-
 @dataclass(frozen=True)
 class RateEstimates:
     root_bounds: tuple[float, ...]
@@ -173,10 +150,13 @@ def estimate_rates(table: GrowthTable, window=None) -> RateEstimates:
 
     The window defaults to the top half of the table; when too few points
     exist for a fit the verdict is inconclusive and only the exact parts
-    (root bounds, ratios, entropy of the infimum) are reported.
+    (root bounds, ratios, entropy of the infimum) are reported.  The
+    extrapolated rate is exp of the least-squares slope of log gamma(k) over
+    the window, left None on a polynomial verdict, where it means nothing.
     """
     roots = root_bounds(table)
     ratios = ratio_estimates(table)
+    # every gamma(k) >= 1, so inf_root >= 1 and its log (the entropy) is >= 0
     inf_root = min(roots) if roots else 1.0
     if window is None and table.kmax >= 5:
         window = (max(2, table.kmax // 2), table.kmax)
@@ -195,7 +175,7 @@ def estimate_rates(table: GrowthTable, window=None) -> RateEstimates:
         root_bounds=tuple(roots),
         ratios=tuple(ratios),
         inf_root=inf_root,
-        entropy=entropy_of(inf_root),
+        entropy=math.log(inf_root),
         window=win,
         verdict=verdict,
         degree=degree,

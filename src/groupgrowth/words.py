@@ -47,8 +47,8 @@ def letter_rank(letter: int) -> int:
     return 2 * (abs(letter) - 1) + (0 if letter > 0 else 1)
 
 
-def format_word(word, names=None) -> str:
-    """Render a word as space-separated letters, apostrophe for inverses.
+def format_word(word, names) -> str:
+    """Render a word as space-separated letters of ``names``, apostrophe for inverses.
 
     The empty word renders as "1".
     """
@@ -56,7 +56,7 @@ def format_word(word, names=None) -> str:
         return "1"
     parts = []
     for x in word:
-        name = names[abs(x) - 1] if names else ALPHABET[abs(x) - 1]
+        name = names[abs(x) - 1]
         parts.append(name if x > 0 else name + "'")
     return " ".join(parts)
 

@@ -1,6 +1,7 @@
 import functools
+import itertools
 import math
-from decimal import Decimal, getcontext
+from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
 
 import pytest
@@ -27,7 +28,7 @@ from groupgrowth import (
     surface_bound,
 )
 from groupgrowth import cli
-from groupgrowth.bounds import scan_csv_rows
+from groupgrowth.bounds import _two_radical_sign, scan_csv_rows
 
 import oracles
 
@@ -109,6 +110,25 @@ def test_comparisons_match_high_precision_decimal(p1, q1, d1, p2, q2, d2):
 def test_decimal_agrees_with_float(p, q, d):
     v = QuadraticValue(p, q, d)
     assert float(v) == pytest.approx(float(as_decimal(v)), abs=1e-9)
+
+
+def test_sign_kernel_matches_decimal_oracle():
+    # every a, b, c in [-5, 5] and D1, D2 in [0, 12], squarefree or not; through
+    # the x part this also covers _single_radical_sign.  A nonzero value here
+    # has an integer norm of at least 1 over conjugates below 40 in size, so
+    # |v| > 1e-5 and 50 digits with a 1e-30 zero band decide every sign.
+    mismatches = []
+    with localcontext() as ctx:
+        ctx.prec = 50
+        roots = [Decimal(D).sqrt() for D in range(13)]
+        zero = Decimal("1e-30")
+        for a, b, c in itertools.product(range(-5, 6), repeat=3):
+            for D1, D2 in itertools.product(range(13), repeat=2):
+                v = a + b * roots[D1] + c * roots[D2]
+                expected = 0 if abs(v) < zero else (1 if v > 0 else -1)
+                if _two_radical_sign(a, b, D1, c, D2) != expected:
+                    mismatches.append((a, b, D1, c, D2))
+    assert mismatches == []
 
 
 # --- matrix spectra ---------------------------------------------------------------

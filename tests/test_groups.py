@@ -333,6 +333,19 @@ def test_direct_product_z_letter_avoids_collision():
     assert len(set(names)) == len(names)
 
 
+def test_free_product_letters_stay_distinct_when_factor_names_collide():
+    # a1 of factor 1 plus factor number 1 would read a11, which factor 11's a also takes
+    f1 = GroupSpec.free(1)
+    spec = GroupSpec.free_product(GroupSpec.free_product(f1, GroupSpec.cyclic(2)), *[f1] * 10)
+    names = [n for n, _ in make_group(spec)._letters()]
+    assert names == ["a1.1", "a2.1", *(f"a.{i}" for i in range(2, 12))]
+    gens = make_group(spec).default_generators()
+    assert len(set(gens.names)) == len(gens.names) == 23
+    # names that are unique without a dot keep their old form
+    plain = make_group(GroupSpec.free_product(GroupSpec.cyclic(2), GroupSpec.free(1)))
+    assert [n for n, _ in plain._letters()] == ["a1", "a2"]
+
+
 # --- generating sets ----------------------------------------------------------
 
 

@@ -8,13 +8,9 @@ import pytest
 import groupgrowth
 import oracles
 from groupgrowth import (
-    DomainError,
-    FitRejected,
     GroupSpec,
     WindowTooSmall,
-    entropy_of,
     estimate_rates,
-    extrapolate_rate,
     growth_table,
     make_group,
     poly_degree,
@@ -104,21 +100,6 @@ def test_window_validation(free2_k8):
         poly_degree(free2_k8, (5, 12))  # beyond the table
 
 
-# --- rate extrapolation -----------------------------------------------------------
-
-
-def test_extrapolate_free2(free2_k8):
-    rate = extrapolate_rate(free2_k8, (2, 8))
-    assert rate == pytest.approx(3.0, abs=0.05)
-
-
-def test_extrapolate_rejects_polynomial_tables(dihedral_k50, z2_k30):
-    with pytest.raises(FitRejected):
-        extrapolate_rate(dihedral_k50, (10, 50))
-    with pytest.raises(FitRejected):
-        extrapolate_rate(z2_k30, (10, 30))
-
-
 # --- least-squares fits against the exact oracle ---------------------------------
 
 
@@ -131,12 +112,12 @@ def test_fits_match_exact_least_squares(request, name):
         estimate = poly_degree(table, (lo, hi))
         loglog = oracles.least_squares_slope([math.log(k) for k in ks], logs)
         assert estimate.loglog_slope == pytest.approx(loglog, rel=1e-12)
+        extrapolated = estimate_rates(table, (lo, hi)).extrapolated_rate
         if estimate.verdict == "polynomial":
-            with pytest.raises(FitRejected):
-                extrapolate_rate(table, (lo, hi))
+            assert extrapolated is None
         else:
             rate = math.exp(oracles.least_squares_slope(list(ks), logs))
-            assert extrapolate_rate(table, (lo, hi)) == pytest.approx(rate, rel=1e-12)
+            assert extrapolated == pytest.approx(rate, rel=1e-12)
 
 
 def test_cli_import_leaves_numpy_out():
@@ -146,17 +127,6 @@ def test_cli_import_leaves_numpy_out():
     code = "import sys, groupgrowth.cli; print('numpy' in sys.modules)"
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert result.stdout.strip() == "False"
-
-
-# --- entropy -----------------------------------------------------------------------
-
-
-def test_entropy_values():
-    assert entropy_of(math.e) == pytest.approx(1.0)
-    assert entropy_of(1.0) == 0.0
-    assert entropy_of(2.0) == pytest.approx(math.log(2))
-    with pytest.raises(DomainError):
-        entropy_of(0.99)
 
 
 # --- bundled estimates ---------------------------------------------------------------
