@@ -6,7 +6,7 @@ the log-log slope of gamma(k) and the doubling estimate
 log2(gamma(2k)/gamma(k)), both over a trailing window.
 """
 
-from groupgrowth import GroupSpec, growth_table, make_group, poly_degree
+from groupgrowth import GroupSpec, estimate_rates, growth_table, make_group
 
 CASES = [
     (GroupSpec.free_abelian(1), 40, (10, 40)),
@@ -21,7 +21,7 @@ if __name__ == "__main__":
     for spec, kmax, window in CASES:
         handle = make_group(spec)
         table = growth_table(handle, handle.default_generators(), kmax)
-        est = poly_degree(table, window)
+        est = estimate_rates(table, window)
         print(
             f"{spec.describe():18s} {est.loglog_slope:14.3f}"
             f" {est.doubling_degree:10.3f} {est.verdict_label():>16s}"
@@ -30,5 +30,5 @@ if __name__ == "__main__":
     print("free(2) for contrast:")
     handle = make_group(GroupSpec.free(2))
     table = growth_table(handle, handle.default_generators(), 10)
-    est = poly_degree(table, (2, 10))
+    est = estimate_rates(table, (2, 10))
     print(f"    verdict: {est.verdict_label()} (slope {est.loglog_slope:.2f} on log-log axes)")

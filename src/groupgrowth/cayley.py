@@ -33,40 +33,34 @@ UNKNOWN = _Unknown()
 
 
 @dataclass(frozen=True)
-class BudgetUsed:
-    elements: int = 0
-    seconds: float = 0.0
-
-
-@dataclass(frozen=True)
 class GrowthTable:
-    """Ball and sphere counts gamma(k), sigma(k) for k = 0..kmax."""
+    """Ball counts gamma(k) for k = 0..kmax; kmax and the sphere counts sigma(k) follow."""
 
     spec: GroupSpec
     gens: GeneratingSet
-    kmax: int
     gamma: tuple[int, ...]
-    sigma: tuple[int, ...]
     complete: bool
-    budget_used: BudgetUsed = field(default=BudgetUsed(), compare=False)
+    # derived once here, so reading them costs no more than reading gamma
+    kmax: int = field(init=False)
+    sigma: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
-        if len(self.gamma) != self.kmax + 1 or len(self.sigma) != self.kmax + 1:
-            raise ValueError("table length does not match kmax")
-        if self.gamma[0] != 1 or self.sigma[0] != 1:
+        gamma = self.gamma
+        if not gamma or gamma[0] != 1:
             raise ValueError("ball of radius 0 must contain exactly the identity")
-        for k in range(1, self.kmax + 1):
-            if self.sigma[k] != self.gamma[k] - self.gamma[k - 1]:
-                raise ValueError(f"sigma({k}) inconsistent with gamma")
-            if self.sigma[k] < 0:
+        for k in range(1, len(gamma)):
+            if gamma[k] < gamma[k - 1]:
                 raise ValueError(f"sigma({k}) negative")
-        for m in range(1, self.kmax + 1):
-            for n in range(1, self.kmax + 1 - m):
-                if self.gamma[m + n] > self.gamma[m] * self.gamma[n]:
+        for m in range(1, len(gamma)):
+            for n in range(1, len(gamma) - m):
+                if gamma[m + n] > gamma[m] * gamma[n]:
                     raise ValueError(
                         f"submultiplicativity violated at ({m},{n}): "
-                        f"{self.gamma[m + n]} > {self.gamma[m]}*{self.gamma[n]}"
+                        f"{gamma[m + n]} > {gamma[m]}*{gamma[n]}"
                     )
+        object.__setattr__(self, "kmax", len(gamma) - 1)
+        sigma = (1,) + tuple(gamma[k] - gamma[k - 1] for k in range(1, len(gamma)))
+        object.__setattr__(self, "sigma", sigma)
 
 
 def spheres(handle: GroupHandle, gens: GeneratingSet, max_elements: int | None = None):
@@ -107,7 +101,7 @@ def growth_table(
     max_elements: int | None = None,
     max_seconds: float | None = None,
 ) -> GrowthTable:
-    """Exact gamma/sigma via frontier BFS.
+    """Exact gamma via frontier BFS.
 
     Stops early with ``complete=False`` when a budget runs out; the table is
     truncated at the last fully enumerated sphere.  A surface group whose
@@ -131,16 +125,7 @@ def growth_table(
         if not sphere:
             # group exhausted: every later sphere is empty
             gamma.extend([gamma[-1]] * (kmax + 1 - len(gamma)))
-    reached = len(gamma) - 1
-    return GrowthTable(
-        spec=handle.spec,
-        gens=gens,
-        kmax=reached,
-        gamma=tuple(gamma),
-        sigma=(1,) + tuple(gamma[k] - gamma[k - 1] for k in range(1, reached + 1)),
-        complete=complete,
-        budget_used=BudgetUsed(elements=gamma[-1], seconds=time.monotonic() - t0),
-    )
+    return GrowthTable(spec=handle.spec, gens=gens, gamma=tuple(gamma), complete=complete)
 
 
 def ball_elements(handle: GroupHandle, gens: GeneratingSet, radius: int) -> list:

@@ -29,7 +29,7 @@ from .cayley import growth_table, search_generating_sets, write_table_csv
 from .errors import GroupGrowthError
 from .groups import GroupSpec, MatrixZ2, make_group
 from .manifold import ManifoldSpec, classify_growth, group_of_manifold, universal_constant
-from .rates import estimate_rates, root_bounds, round12
+from .rates import check_window, estimate_rates, root_bounds, round12
 
 VERIFY_MARGIN = 1e-9
 
@@ -128,10 +128,11 @@ def _cmd_growth(args) -> int:
     spec = _load_group_spec(args.spec)
     handle = make_group(spec)
     gens = handle.default_generators()
+    # a window the requested table cannot hold is bad input, caught before any enumeration
+    window = check_window(_parse_window(args.window), args.kmax) if args.window else None
     table = growth_table(
         handle, gens, args.kmax, max_elements=args.max_elements, max_seconds=args.max_seconds
     )
-    window = _parse_window(args.window) if args.window else None
     rates = estimate_rates(table, window=window)
     if args.out:
         write_table_csv(table, args.out)
@@ -207,6 +208,13 @@ def _cmd_verify(args) -> int:
     bound = group_bound(spec)
     applicable = bound is not None and bound.hypotheses_ok
     ok = not applicable or min_root >= bound.value - VERIFY_MARGIN
+    if applicable:
+        notes = f"min_k gamma(k)^(1/k) = {min_root:.12g} vs bound {bound.value:.12g}"
+    elif bound is None:
+        notes = "no applicable lower bound for this family; nothing to check"
+    else:
+        failed = ", ".join(name for name, holds, _ in bound.hypothesis_detail if not holds)
+        notes = f"{bound.theorem} does not apply, its hypotheses fail ({failed}); nothing to check"
     report = {
         "spec": spec.to_dict(),
         "kmax": table.kmax,
@@ -216,9 +224,7 @@ def _cmd_verify(args) -> int:
         "applicable": applicable,
         "bound": None if bound is None else bound.to_dict(),
         "pass": ok,
-        "notes": f"min_k gamma(k)^(1/k) = {min_root:.12g} vs bound {bound.value:.12g}"
-        if applicable
-        else "no applicable lower bound for this family; nothing to check",
+        "notes": notes,
     }
     _emit(report, args.out)
     return 0 if ok else 1

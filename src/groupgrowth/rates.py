@@ -41,26 +41,38 @@ def ratio_estimates(table: GrowthTable) -> list[float]:
     return out
 
 
-def _check_window(table: GrowthTable, window) -> tuple[int, int]:
+def check_window(window, kmax) -> tuple[int, int]:
+    """The window (lo, hi); raises WindowTooSmall unless it fits a table up to radius kmax."""
     lo, hi = window
     if lo < 2:
         raise WindowTooSmall(f"window must start at k >= 2, got {lo}")
-    if hi > table.kmax:
-        raise WindowTooSmall(f"window end {hi} exceeds table kmax {table.kmax}")
+    if hi > kmax:
+        raise WindowTooSmall(f"window end {hi} exceeds table kmax {kmax}")
     if hi - lo + 1 < 4:
         raise WindowTooSmall(f"window [{lo},{hi}] has fewer than 4 points")
     return lo, hi
 
 
-def _trailing_ratios(table: GrowthTable, lo: int, hi: int) -> list[float] | None:
-    """sigma(k)/sigma(k-1) for the last few window points; None when a sphere died."""
-    ks = range(max(lo, hi - _VERDICT_POINTS + 1), hi + 1)
-    out = []
-    for k in ks:
+def _verdict(table: GrowthTable, lo: int, hi: int, slope: float) -> tuple[str, int | None]:
+    """Growth verdict and degree from the sphere ratios of the last few window points.
+
+    The verdict is exponential when those ratios all clear 1.2, polynomial
+    when they all stay under 1.1 (degree = rounded log-log slope), and
+    inconclusive in between.
+    """
+    ratios = []
+    for k in range(max(lo, hi - _VERDICT_POINTS + 1), hi + 1):
         if table.sigma[k - 1] == 0:
-            return None
-        out.append(table.sigma[k] / table.sigma[k - 1])
-    return out
+            # spheres died inside the window: growth stopped entirely
+            if table.gamma[hi] == table.gamma[lo]:
+                return "polynomial", 0
+            return "inconclusive", None
+        ratios.append(table.sigma[k] / table.sigma[k - 1])
+    if all(r >= EXPONENTIAL_RATIO_THRESHOLD for r in ratios):
+        return "exponential", None
+    if all(r <= POLYNOMIAL_RATIO_THRESHOLD for r in ratios):
+        return "polynomial", round(slope)
+    return "inconclusive", None
 
 
 def _log_gamma_slope(table: GrowthTable, lo: int, hi: int, x) -> float:
@@ -70,61 +82,23 @@ def _log_gamma_slope(table: GrowthTable, lo: int, hi: int, x) -> float:
     return statistics.linear_regression([x(k) for k in ks], logs).slope
 
 
-def _verdict_label(verdict: str, degree: int | None) -> str:
-    return verdict if degree is None else f"polynomial({degree})"
-
-
-@dataclass(frozen=True)
-class DegreeEstimate:
-    loglog_slope: float
-    doubling_degree: float | None
-    verdict: str  # "polynomial" | "exponential" | "inconclusive"
-    degree: int | None
-    window: tuple[int, int]
-
-    def verdict_label(self) -> str:
-        return _verdict_label(self.verdict, self.degree)
-
-
-def poly_degree(table: GrowthTable, window) -> DegreeEstimate:
-    """Least-squares degree of gamma over a window, with a growth verdict.
-
-    The verdict is exponential when the trailing sphere ratios all clear 1.2,
-    polynomial when they all stay under 1.1 (degree = rounded log-log slope),
-    and inconclusive in between.
-    """
-    lo, hi = _check_window(table, window)
-    slope = _log_gamma_slope(table, lo, hi, math.log)
-
-    doubling = None
-    for k in range(hi, 0, -1):
-        if 2 * k <= table.kmax:
-            doubling = math.log2(table.gamma[2 * k] / table.gamma[k])
-            break
-
-    ratios = _trailing_ratios(table, lo, hi)
-    if ratios is None:
-        # spheres died inside the window: growth stopped entirely
-        if table.gamma[hi] == table.gamma[lo]:
-            return DegreeEstimate(slope, doubling, "polynomial", 0, (lo, hi))
-        return DegreeEstimate(slope, doubling, "inconclusive", None, (lo, hi))
-    if all(r >= EXPONENTIAL_RATIO_THRESHOLD for r in ratios):
-        return DegreeEstimate(slope, doubling, "exponential", None, (lo, hi))
-    if all(r <= POLYNOMIAL_RATIO_THRESHOLD for r in ratios):
-        return DegreeEstimate(slope, doubling, "polynomial", round(slope), (lo, hi))
-    return DegreeEstimate(slope, doubling, "inconclusive", None, (lo, hi))
-
-
 @dataclass(frozen=True)
 class RateEstimates:
+    """The table's exact rate data and, when a window is fitted, the fits over it."""
+
     root_bounds: tuple[float, ...]
     ratios: tuple[float, ...]
     inf_root: float
     entropy: float
-    window: tuple[int, int] | None
-    verdict: str
-    degree: int | None
-    extrapolated_rate: float | None
+    window: tuple[int, int] | None = None
+    loglog_slope: float | None = None
+    doubling_degree: float | None = None
+    verdict: str = "inconclusive"  # or "polynomial" | "exponential"
+    degree: int | None = None
+    extrapolated_rate: float | None = None
+
+    def verdict_label(self) -> str:
+        return self.verdict if self.degree is None else f"polynomial({self.degree})"
 
     def to_dict(self) -> dict:
         return {
@@ -133,7 +107,7 @@ class RateEstimates:
             "inf_root": round12(self.inf_root),
             "entropy": round12(self.entropy),
             "window": None if self.window is None else list(self.window),
-            "verdict": _verdict_label(self.verdict, self.degree),
+            "verdict": self.verdict_label(),
             "extrapolated_rate": None
             if self.extrapolated_rate is None
             else round12(self.extrapolated_rate),
@@ -146,38 +120,38 @@ def round12(x: float) -> float:
 
 
 def estimate_rates(table: GrowthTable, window=None) -> RateEstimates:
-    """Bundle every estimator the table supports.
+    """Every estimate the table supports, with one least-squares fit over a window.
 
-    The window defaults to the top half of the table; when too few points
-    exist for a fit the verdict is inconclusive and only the exact parts
-    (root bounds, ratios, entropy of the infimum) are reported.  The
-    extrapolated rate is exp of the least-squares slope of log gamma(k) over
-    the window, left None on a polynomial verdict, where it means nothing.
+    The window defaults to the top half of the table.  Without a window (too
+    few points for the default, or a budget that cut the table inside the
+    given one) the verdict is inconclusive and only the exact parts (root
+    bounds, ratios, entropy of the infimum) are reported.  Over a window the
+    fits are the log-log slope of gamma(k), the doubling degree
+    log2(gamma(2k)/gamma(k)) at the largest k <= hi with 2k <= kmax, and the
+    extrapolated rate, exp of the least-squares slope of log gamma(k), left
+    None on a polynomial verdict, where it means nothing.
     """
-    roots = root_bounds(table)
-    ratios = ratio_estimates(table)
+    roots = tuple(root_bounds(table))
     # every gamma(k) >= 1, so inf_root >= 1 and its log (the entropy) is >= 0
     inf_root = min(roots) if roots else 1.0
+    exact = (roots, tuple(ratio_estimates(table)), inf_root, math.log(inf_root))
     if window is None and table.kmax >= 5:
         window = (max(2, table.kmax // 2), table.kmax)
-    verdict = "inconclusive"
-    degree = None
-    extrapolated = None
-    win = None
     if window is not None:
-        estimate = poly_degree(table, window)
-        win = estimate.window
-        verdict = estimate.verdict
-        degree = estimate.degree
-        if verdict != "polynomial":
-            extrapolated = math.exp(_log_gamma_slope(table, *win, float))
+        lo, hi = check_window(window, table.kmax if table.complete else math.inf)
+    if window is None or hi > table.kmax:  # no window, or a budget cut the table inside it
+        return RateEstimates(*exact)
+    slope = _log_gamma_slope(table, lo, hi, math.log)
+    k = min(hi, table.kmax // 2)
+    verdict, degree = _verdict(table, lo, hi, slope)
     return RateEstimates(
-        root_bounds=tuple(roots),
-        ratios=tuple(ratios),
-        inf_root=inf_root,
-        entropy=math.log(inf_root),
-        window=win,
+        *exact,
+        window=(lo, hi),
+        loglog_slope=slope,
+        doubling_degree=math.log2(table.gamma[2 * k] / table.gamma[k]),
         verdict=verdict,
         degree=degree,
-        extrapolated_rate=extrapolated,
+        extrapolated_rate=None
+        if verdict == "polynomial"
+        else math.exp(_log_gamma_slope(table, lo, hi, float)),
     )

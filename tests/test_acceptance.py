@@ -20,12 +20,12 @@ from groupgrowth import (
     SQRT2,
     amalgam_bound,
     ball_elements,
+    estimate_rates,
     free_product_bound,
     hnn_bound,
     lambda_max,
     make_group,
     osin_bound,
-    poly_degree,
     root_bounds,
     surface_bound,
     universal_constant,
@@ -133,8 +133,8 @@ def test_criterion_5_tables_respect_bounds(
 
 
 def test_criterion_6_polynomial_degrees(heisenberg_k40, z3_k40):
-    heis = poly_degree(heisenberg_k40, (10, 40))
-    z3 = poly_degree(z3_k40, (10, 40))
+    heis = estimate_rates(heisenberg_k40, (10, 40))
+    z3 = estimate_rates(z3_k40, (10, 40))
     heis_ok = heis.verdict == "polynomial" and 3.5 <= heis.doubling_degree <= 4.5
     z3_ok = z3.verdict == "polynomial" and 2.7 <= z3.loglog_slope <= 3.3
     ok = heis_ok and z3_ok

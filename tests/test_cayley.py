@@ -103,13 +103,20 @@ def test_klein_growth_equals_z2():
 def test_table_constructor_rejects_bad_data():
     handle = make_group(GroupSpec.free(2))
     gens = handle.default_generators()
-    with pytest.raises(ValueError):
-        GrowthTable(spec=handle.spec, gens=gens, kmax=1, gamma=(2, 5), sigma=(2, 3), complete=True)
-    with pytest.raises(ValueError):
-        GrowthTable(spec=handle.spec, gens=gens, kmax=2, gamma=(1, 5, 3), sigma=(1, 4, -2), complete=True)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="identity"):
+        GrowthTable(spec=handle.spec, gens=gens, gamma=(2, 5), complete=True)
+    with pytest.raises(ValueError, match="negative"):
+        GrowthTable(spec=handle.spec, gens=gens, gamma=(1, 5, 3), complete=True)
+    with pytest.raises(ValueError, match="submultiplicativity"):
         # violates gamma(2) <= gamma(1)^2
-        GrowthTable(spec=handle.spec, gens=gens, kmax=2, gamma=(1, 3, 10), sigma=(1, 2, 7), complete=True)
+        GrowthTable(spec=handle.spec, gens=gens, gamma=(1, 3, 10), complete=True)
+
+
+def test_table_derives_kmax_and_sigma_from_gamma():
+    handle = make_group(GroupSpec.free(2))
+    table = GrowthTable(spec=handle.spec, gens=handle.default_generators(), gamma=(1, 5, 17), complete=False)
+    assert table.kmax == 2
+    assert table.sigma == (1, 4, 12)
 
 
 def test_submultiplicative_on_fixtures(free2_k8, heisenberg_k40, fp23_k8):
@@ -159,7 +166,7 @@ def test_zero_time_budget():
 def test_rerun_determinism(free2_k8):
     handle = make_group(GroupSpec.free(2))
     again = growth_table(handle, handle.default_generators(), 8)
-    assert again == free2_k8  # budget_used excluded from comparison
+    assert again == free2_k8
 
 
 # --- surface payloads in composite groups -----------------------------------------

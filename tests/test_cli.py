@@ -57,6 +57,28 @@ def test_growth_with_window(free2_spec, capsys):
     assert report["rates"]["window"] == [2, 6]
 
 
+def test_growth_window_past_a_budget_cut_reports_the_table_without_a_fit(free2_spec, capsys):
+    code, report = run_json(
+        ["growth", "--spec", free2_spec, "--kmax", "8", "--window", "4,8", "--max-elements", "1000"],
+        capsys,
+    )
+    assert code == 0
+    assert report["complete"] is False
+    assert report["gamma"] == [2 * 3 ** k - 1 for k in range(6)]
+    assert report["rates"]["window"] is None
+    assert report["rates"]["verdict"] == "inconclusive"
+    assert report["rates"]["extrapolated_rate"] is None
+
+
+def test_growth_window_beyond_kmax_exits_two_before_enumerating(free2_spec, capsys, monkeypatch):
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("growth_table called")
+
+    monkeypatch.setattr(cli, "growth_table", no_enumeration)
+    code, out, err = run(["growth", "--spec", free2_spec, "--kmax", "5", "--window", "2,6"], capsys)
+    assert (code, out, err) == (2, "", "error: window end 6 exceeds table kmax 5\n")
+
+
 def test_growth_budget_flag(free2_spec, capsys):
     code, report = run_json(
         ["growth", "--spec", free2_spec, "--kmax", "8", "--max-elements", "30"], capsys
@@ -145,6 +167,32 @@ def test_verify_vacuous_when_no_bound_applies(free2_spec, capsys):
     assert code == 0
     assert report["applicable"] is False
     assert report["pass"] is True
+    assert report["notes"] == "no applicable lower bound for this family; nothing to check"
+
+
+@pytest.mark.parametrize(
+    "spec, theorem, failed",
+    [
+        (
+            {"family": "free_product", "params": {"factors": [{"family": "cyclic", "params": {"m": 2}}] * 2}},
+            "bucher_free_product",
+            "not_Z2_star_Z2",
+        ),
+        (
+            {"family": "torus_bundle", "params": {"matrix": [[1, 1], [0, 1]]}},
+            "osin_polycyclic",
+            "no_modulus_one_eigenvalue",
+        ),
+    ],
+)
+def test_verify_note_names_the_theorem_whose_gate_fails(spec, theorem, failed, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, report = run_json(["verify", "--spec", str(path), "--kmax", "4"], capsys)
+    assert code == 0
+    assert (report["applicable"], report["pass"]) == (False, True)
+    assert report["bound"]["theorem"] == theorem
+    assert report["notes"] == f"{theorem} does not apply, its hypotheses fail ({failed}); nothing to check"
 
 
 def test_verify_failure_exits_one(tb_spec, capsys, monkeypatch):

@@ -13,7 +13,6 @@ from groupgrowth import (
     estimate_rates,
     growth_table,
     make_group,
-    poly_degree,
     ratio_estimates,
     root_bounds,
 )
@@ -64,7 +63,7 @@ def test_ratio_estimates_stop_at_dead_sphere():
 
 
 def test_heisenberg_degree_four(heisenberg_k40):
-    est = poly_degree(heisenberg_k40, (10, 40))
+    est = estimate_rates(heisenberg_k40, (10, 40))
     assert est.verdict == "polynomial"
     assert est.degree == 4
     assert est.loglog_slope == pytest.approx(4.0, abs=0.5)
@@ -72,32 +71,45 @@ def test_heisenberg_degree_four(heisenberg_k40):
 
 
 def test_abelian_degrees(z2_k30, z3_k40):
-    est2 = poly_degree(z2_k30, (10, 30))
+    est2 = estimate_rates(z2_k30, (10, 30))
     assert est2.degree == 2
-    est3 = poly_degree(z3_k40, (10, 40))
+    est3 = estimate_rates(z3_k40, (10, 40))
     assert est3.degree == 3
     assert est3.loglog_slope == pytest.approx(3.0, abs=0.3)
 
 
 def test_free2_is_exponential(free2_k8):
-    est = poly_degree(free2_k8, (2, 8))
+    est = estimate_rates(free2_k8, (2, 8))
     assert est.verdict == "exponential"
     assert est.degree is None
 
 
 def test_dihedral_linear(dihedral_k50):
-    est = poly_degree(dihedral_k50, (10, 50))
+    est = estimate_rates(dihedral_k50, (10, 50))
     assert est.verdict == "polynomial"
     assert est.degree == 1
 
 
 def test_window_validation(free2_k8):
     with pytest.raises(WindowTooSmall):
-        poly_degree(free2_k8, (2, 4))  # 3 points
+        estimate_rates(free2_k8, (2, 4))  # 3 points
     with pytest.raises(WindowTooSmall):
-        poly_degree(free2_k8, (1, 8))  # kmin below 2
+        estimate_rates(free2_k8, (1, 8))  # kmin below 2
     with pytest.raises(WindowTooSmall):
-        poly_degree(free2_k8, (5, 12))  # beyond the table
+        estimate_rates(free2_k8, (5, 12))  # beyond the table
+
+
+def test_window_past_a_budget_cut_is_not_fitted():
+    handle = make_group(GroupSpec.free(2))
+    table = growth_table(handle, handle.default_generators(), 8, max_elements=1000)
+    assert not table.complete and table.kmax == 5
+    est = estimate_rates(table, (4, 8))
+    fits = (est.window, est.loglog_slope, est.doubling_degree, est.degree, est.extrapolated_rate)
+    assert fits == (None,) * 5
+    assert est.verdict_label() == "inconclusive"
+    # a window that fits no table is still rejected
+    with pytest.raises(WindowTooSmall):
+        estimate_rates(table, (1, 8))
 
 
 # --- least-squares fits against the exact oracle ---------------------------------
@@ -109,15 +121,14 @@ def test_fits_match_exact_least_squares(request, name):
     for lo, hi in ((2, 5), (table.kmax // 2, table.kmax)):
         ks = range(lo, hi + 1)
         logs = [math.log(table.gamma[k]) for k in ks]
-        estimate = poly_degree(table, (lo, hi))
+        estimate = estimate_rates(table, (lo, hi))
         loglog = oracles.least_squares_slope([math.log(k) for k in ks], logs)
         assert estimate.loglog_slope == pytest.approx(loglog, rel=1e-12)
-        extrapolated = estimate_rates(table, (lo, hi)).extrapolated_rate
         if estimate.verdict == "polynomial":
-            assert extrapolated is None
+            assert estimate.extrapolated_rate is None
         else:
             rate = math.exp(oracles.least_squares_slope(list(ks), logs))
-            assert extrapolated == pytest.approx(rate, rel=1e-12)
+            assert estimate.extrapolated_rate == pytest.approx(rate, rel=1e-12)
 
 
 def test_cli_import_leaves_numpy_out():
