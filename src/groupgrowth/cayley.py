@@ -5,6 +5,15 @@ hashable form, so no product is encoded to bytes.  Because every generator has
 word length one, a product of a sphere-k element with a letter lands in sphere
 k-1, k, or k+1; keeping the two newest spheres in memory is therefore enough
 for exact counts.
+
+`growth_table` counts one automorphism orbit at a time when it can.  Z^n
+(signed coordinate permutations), heisenberg (the dihedral group of order 8
+on x, y) and torus bundles (-I on Z^2) declare a finite group A of
+automorphisms that permutes their default generators.  A then maps every
+sphere onto itself, since a(g s) = a(g) a(s), so BFS keeps one representative
+per A-orbit and adds the orbit's length to the count.  This holds only for a
+generating set equal, as a set, to the default one; any other set, and every
+other family, enumerates whole spheres.
 """
 
 from __future__ import annotations
@@ -63,17 +72,32 @@ class GrowthTable:
         object.__setattr__(self, "sigma", sigma)
 
 
-def spheres(handle: GroupHandle, gens: GeneratingSet, max_elements: int | None = None):
-    """Yield the spheres S(1), S(2), ... of the Cayley graph as sets of payloads.
+def spheres(handle: GroupHandle, gens: GeneratingSet, max_elements: int | None = None, orbits: bool = False):
+    """Yield (sphere, size) for the spheres S(1), S(2), ... of the Cayley graph.
 
-    Payloads are canonical and hashable, so set membership is group equality.
-    Only the two newest spheres are kept.  The first empty sphere (the group
-    is exhausted) is yielded last.  With `max_elements`, the generator stops
-    inside the product loop as soon as the ball would outgrow the cap, without
-    yielding the sphere that overflowed; a run that ends without an empty
-    sphere was therefore cut short.
+    A sphere is a set of payloads; payloads are canonical and hashable, so set
+    membership is group equality.  Plain, it holds every element and its size
+    is its length.  With `orbits`, the caller vouches that the handle's orbit
+    map permutes `gens`: the sphere then holds one `orbit_rep` per orbit, and
+    its size is the sum of their `orbit_size`s.  Only the two newest spheres
+    are kept.  The first empty sphere (the group is exhausted) is yielded
+    last.  With `max_elements`, the generator stops as soon as the ball would
+    outgrow the cap, inside the product loop when the sphere's length already
+    does, without yielding the sphere that overflowed; a run that ends
+    without an empty sphere was therefore cut short.
     """
     mul = handle.mul
+    if orbits:
+        rep, orbit_size = handle.orbit_rep, handle.orbit_size
+
+        def step(el, s):
+            return rep(mul(el, s))
+
+        def weight(sphere):
+            return sum(map(orbit_size, sphere))
+
+    else:
+        step, weight = mul, len
     letters = gens.elements
     room = math.inf if max_elements is None else max_elements - 1
     prev: set = set()
@@ -82,15 +106,19 @@ def spheres(handle: GroupHandle, gens: GeneratingSet, max_elements: int | None =
         nxt: set = set()
         for el in cur:
             for s in letters:
-                prod = mul(el, s)
+                prod = step(el, s)
                 # repeats land in S(k+1) or S(k-1) more often than in S(k)
                 if prod in nxt or prod in prev or prod in cur:
                     continue
                 nxt.add(prod)
+                # a sphere's size is at least its length
                 if len(nxt) > room:
                     return
-        yield nxt
-        room -= len(nxt)
+        size = weight(nxt)
+        if size > room:
+            return
+        yield nxt, size
+        room -= size
         prev, cur = cur, nxt
 
 
@@ -101,7 +129,8 @@ def growth_table(
     max_elements: int | None = None,
     max_seconds: float | None = None,
 ) -> GrowthTable:
-    """Exact gamma via frontier BFS.
+    """Exact gamma via frontier BFS, one automorphism orbit at a time when
+    `gens` is the default generating set of a family with an orbit map.
 
     Stops early with ``complete=False`` when a budget runs out; the table is
     truncated at the last fully enumerated sphere.  A surface group whose
@@ -110,7 +139,10 @@ def growth_table(
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
     t0 = time.monotonic()
-    kernel = spheres(handle, gens, max_elements)
+    orbits = handle.orbit_rep is not None and set(gens.elements) == set(
+        handle.default_generators().elements
+    )
+    kernel = spheres(handle, gens, max_elements, orbits)
     gamma = [1]
     complete = True
     while len(gamma) <= kmax:
@@ -121,8 +153,9 @@ def growth_table(
         if sphere is None:  # the element cap cut this sphere short
             complete = False
             break
-        gamma.append(gamma[-1] + len(sphere))
-        if not sphere:
+        _, size = sphere
+        gamma.append(gamma[-1] + size)
+        if not size:
             # group exhausted: every later sphere is empty
             gamma.extend([gamma[-1]] * (kmax + 1 - len(gamma)))
     return GrowthTable(spec=handle.spec, gens=gens, gamma=tuple(gamma), complete=complete)
@@ -135,7 +168,7 @@ def ball_elements(handle: GroupHandle, gens: GeneratingSet, radius: int) -> list
     pure function of the inputs.
     """
     out = [handle.identity]
-    for sphere in itertools.islice(spheres(handle, gens), max(radius, 0)):
+    for sphere, _ in itertools.islice(spheres(handle, gens), max(radius, 0)):
         out.extend(sorted(sphere, key=handle.canonical_key))
     return out
 
@@ -150,13 +183,29 @@ def is_generating(handle: GroupHandle, gens: GeneratingSet, radius_cap: int):
     targets = set(handle.default_generators().elements) - {handle.identity}
     if not targets:
         return True
-    for sphere in itertools.islice(spheres(handle, gens), max(radius_cap, 0)):
+    for sphere, _ in itertools.islice(spheres(handle, gens), max(radius_cap, 0)):
         targets -= sphere
         if not targets:
             return True
         if not sphere:
             return False
     return UNKNOWN
+
+
+def _ball_if_generating(handle: GroupHandle, gens: GeneratingSet, k: int, targets: frozenset):
+    """gamma(k) over `gens` if BFS reaches all of `targets` by radius max(k, 4), else None.
+
+    One plain sphere pass does the work of `is_generating` to radius
+    max(k, 4) and of `growth_table` to radius k.
+    """
+    ball = 1
+    for radius, (sphere, size) in enumerate(spheres(handle, gens), 1):
+        targets = targets - sphere
+        if radius <= k:
+            ball += size
+        if not size or (radius >= k and not targets) or radius == max(k, 4):
+            break
+    return None if targets else ball
 
 
 @dataclass(frozen=True)
@@ -197,6 +246,7 @@ def search_generating_sets(
     pool = ball_elements(handle, handle.default_generators(), candidate_radius)[1:]
     pool.sort(key=handle.canonical_key)
 
+    targets = frozenset(handle.default_generators().elements)
     tested = 0
     results = []
     best = None
@@ -216,10 +266,10 @@ def search_generating_sets(
             continue
         seen_sets.add(elements)
         tested += 1
-        if is_generating(handle, gens, max(k, 4)) is not True:
+        ball = _ball_if_generating(handle, gens, k, targets)
+        if ball is None:
             continue
-        table = growth_table(handle, gens, k)
-        u_k = table.gamma[k] ** (1.0 / k)
+        u_k = ball ** (1.0 / k)
         results.append((gens, u_k))
         if best is None or u_k < best[1]:
             best = (gens, u_k)

@@ -8,6 +8,7 @@ encodes to the empty key.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, fields
 
@@ -364,6 +365,11 @@ class GroupHandle:
     """
 
     identity = None
+    # A family may name a finite group A of automorphisms that permutes its
+    # default generators: `orbit_rep(a)` is one element of a's A-orbit, the
+    # same for the whole orbit, and `orbit_size(rep)` is the orbit's length.
+    # The representative must cost O(1), as BFS forms one per product.
+    orbit_rep = None
 
     def __init__(self, spec: GroupSpec):
         self.spec = spec
@@ -465,6 +471,17 @@ class FreeAbelianGroup(GroupHandle):
     def inv(self, a):
         return tuple(-x for x in a)
 
+    def orbit_rep(self, a):
+        # signed permutations of the coordinates permute the letters +-e_i
+        return tuple(sorted(map(abs, a)))
+
+    def orbit_size(self, rep):
+        # n! / (prod of multiplicity!) orderings, each nonzero entry with 2 signs
+        size = math.factorial(self.n) << (self.n - rep.count(0))
+        for _, run in itertools.groupby(rep):
+            size //= math.factorial(len(tuple(run)))
+        return size
+
     def _letters(self):
         out = []
         for i in range(self.n):
@@ -497,6 +514,34 @@ class HeisenbergGroup(GroupHandle):
     def inv(self, a):
         x, y, z = a
         return (-x, -y, -z + x * y)
+
+    def orbit_rep(self, a):
+        # D4 is generated by x -> x^-1: (-x, y, -z), y -> y^-1: (x, -y, -z)
+        # and the swap x <-> y: (y, x, xy - z); it permutes x, y and their
+        # inverses.  Bring (x, y) to 0 <= x <= y, then pick z within the
+        # stabiliser of (x, y), which moves z only on the axis and diagonal.
+        x, y, z = a
+        if x < 0:
+            x, z = -x, -z
+        if y < 0:
+            y, z = -y, -z
+        if x > y:
+            x, y, z = y, x, x * y - z
+        if x == 0:
+            return (0, y, min(z, -z))
+        if x == y:
+            return (x, x, min(z, x * x - z))
+        return (x, y, z)
+
+    def orbit_size(self, rep):
+        x, y, z = rep
+        if y == 0:
+            return 2 if z else 1
+        if x == 0:
+            return 8 if z else 4
+        if x == y:
+            return 4 if 2 * z == x * x else 8
+        return 8
 
     def _letters(self):
         # z = [x, y] is a product of the others, so two letters suffice
@@ -593,6 +638,17 @@ class TorusBundleGroup(GroupHandle):
         x, y, n = a
         tx, ty = self._power(-n).apply((x, y))
         return (-tx, -ty, -n)
+
+    def orbit_rep(self, a):
+        # -I on Z^2 commutes with every matrix power, so (v, n) -> (-v, n) is
+        # an automorphism; it swaps e1, e2 with their inverses and fixes t
+        x, y, n = a
+        if x < 0 or (x == 0 and y < 0):
+            return (-x, -y, n)
+        return a
+
+    def orbit_size(self, rep):
+        return 1 if rep[0] == rep[1] == 0 else 2
 
     def _letters(self):
         return [("e1", (1, 0, 0)), ("e2", (0, 1, 0)), ("t", (0, 0, 1))]

@@ -9,7 +9,7 @@ the package.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 
 def naive_ball_sizes(handle, elements, kmax):
@@ -270,3 +270,43 @@ def least_squares_slope(xs, ys):
     sxy = sum(x * y for x, y in zip(xs, ys))
     sxx = sum(x * x for x in xs)
     return float((n * sxy - sx * sy) / (n * sxx - sx * sx))
+
+
+# --- automorphisms that permute the default generators -------------------------
+
+
+def z_n_automorphisms(n):
+    """The 2^n * n! signed permutations of the coordinates of Z^n, as functions."""
+    maps = []
+    for perm in permutations(range(n)):
+        for signs in product((1, -1), repeat=n):
+            maps.append(lambda a, perm=perm, signs=signs: tuple(e * a[i] for e, i in zip(signs, perm)))
+    return maps
+
+
+def heisenberg_automorphisms():
+    """The 8 automorphisms of the Heisenberg group generated by x -> x^-1,
+    y -> y^-1 and the swap x <-> y, in the coordinates of `heisenberg_mul`.
+
+    With a = (-x, y, -z), b = (x, -y, -z) and s = (y, x, xy - z), the list is
+    1, a, b, ab, s, sa, sb, sab, each composed out by hand.
+    """
+    return [
+        lambda p: (p[0], p[1], p[2]),
+        lambda p: (-p[0], p[1], -p[2]),
+        lambda p: (p[0], -p[1], -p[2]),
+        lambda p: (-p[0], -p[1], p[2]),
+        lambda p: (p[1], p[0], p[0] * p[1] - p[2]),
+        lambda p: (p[1], -p[0], p[2] - p[0] * p[1]),
+        lambda p: (-p[1], p[0], p[2] - p[0] * p[1]),
+        lambda p: (-p[1], -p[0], p[0] * p[1] - p[2]),
+    ]
+
+
+def torus_bundle_automorphisms():
+    """Identity and (x, y, n) -> (-x, -y, n): -I commutes with every monodromy."""
+    return [lambda p: p, lambda p: (-p[0], -p[1], p[2])]
+
+
+def orbit(maps, a):
+    return {f(a) for f in maps}

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from groupgrowth import (
@@ -272,6 +274,37 @@ def test_search_free2_default_pairs():
     report = search_generating_sets(handle, candidate_radius=1, set_size=2, k=6)
     assert report.candidates_tested == 3
     assert report.best_root_bound == pytest.approx((2 * 3 ** 6 - 1) ** (1 / 6))
+
+
+@pytest.mark.parametrize(
+    "spec,radius,set_size,k",
+    [
+        (GroupSpec.free_abelian(2), 2, 2, 4),
+        (GroupSpec.free_abelian(1), 3, 1, 2),
+        # {2, 3} reaches 1 = 3 - 2 only at radius 2, past k
+        (GroupSpec.free_abelian(1), 3, 2, 1),
+        (GroupSpec.free(2), 1, 2, 3),
+        (GroupSpec.cyclic(6), 3, 1, 5),
+        (GroupSpec.heisenberg(), 1, 2, 6),
+    ],
+    ids=lambda v: v.describe() if isinstance(v, GroupSpec) else str(v),
+)
+def test_search_matches_generation_check_then_table(spec, radius, set_size, k):
+    # one sphere pass per candidate gives what is_generating to max(k, 4)
+    # followed by growth_table to k gives
+    handle = make_group(spec)
+    report = search_generating_sets(handle, candidate_radius=radius, set_size=set_size, k=k)
+    pool = sorted(ball_elements(handle, handle.default_generators(), radius)[1:], key=handle.canonical_key)
+    expected, seen = [], set()
+    for combo in itertools.combinations(pool, set_size):
+        gens = make_generating_set(handle, [(f"g{i + 1}", el) for i, el in enumerate(combo)])
+        if frozenset(gens.elements) in seen:
+            continue
+        seen.add(frozenset(gens.elements))
+        if is_generating(handle, gens, max(k, 4)) is True:
+            expected.append((gens, growth_table(handle, gens, k).gamma[k] ** (1.0 / k)))
+    assert report.candidates_tested == len(seen)
+    assert list(report.per_candidate) == expected
 
 
 def test_search_rejects_bad_set_size():
