@@ -164,8 +164,7 @@ def lambda_max(A: MatrixZ2) -> QuadraticValue:
     disc = tr * tr - 4 * det
     if disc < 0:
         return QuadraticValue.sqrt_int(abs(det))
-    s, D = squarefree_part(disc)
-    return QuadraticValue(tr, s, D)
+    return QuadraticValue(tr, 1, disc)
 
 
 def is_hyperbolic(A: MatrixZ2) -> bool:
@@ -484,8 +483,3 @@ def scan_csv_rows(report: ScanReport) -> list[str]:
             f"{r.lam.exact_str()},{float(r.lam):.12g},{r.osin:.12g}"
         )
     return lines
-
-
-def write_scan_csv(report: ScanReport, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(scan_csv_rows(report)) + "\n")

@@ -296,8 +296,3 @@ def table_csv_rows(table: GrowthTable) -> list[str]:
             ratio = "%.12g" % (table.sigma[k] / table.sigma[k - 1])
         lines.append(f"{k},{table.gamma[k]},{table.sigma[k]},{root},{ratio}")
     return lines
-
-
-def write_table_csv(table: GrowthTable, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(table_csv_rows(table)) + "\n")

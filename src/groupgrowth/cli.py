@@ -19,13 +19,13 @@ from .bounds import (
     hnn_bound,
     make_bcg_table,
     osin_bound,
+    scan_csv_rows,
     scan_hyperbolic,
     solvable_bound,
     surface_bound,
     surface_genus,
-    write_scan_csv,
 )
-from .cayley import growth_table, search_generating_sets, write_table_csv
+from .cayley import growth_table, search_generating_sets, table_csv_rows
 from .errors import GroupGrowthError
 from .groups import GroupSpec, MatrixZ2, make_group
 from .manifold import ManifoldSpec, classify_growth, group_of_manifold, universal_constant
@@ -34,12 +34,12 @@ from .rates import check_window, estimate_rates, root_bounds, round12
 VERIFY_MARGIN = 1e-9
 
 
-def _parse_matrix(text: str) -> MatrixZ2:
+def _fields(text: str, count: int, wants: str) -> list[str]:
+    """The `count` comma-separated fields of a flag value; `wants` opens the error."""
     parts = text.split(",")
-    if len(parts) != 4:
-        raise ValueError(f"--matrix wants four comma-separated integers, got {text!r}")
-    a, b, c, d = (int(p) for p in parts)
-    return MatrixZ2(a, b, c, d)
+    if len(parts) != count:
+        raise ValueError(f"{wants}, got {text!r}")
+    return parts
 
 
 def _parse_index(token: str):
@@ -47,13 +47,6 @@ def _parse_index(token: str):
     if token in ("inf", "infinity", "oo"):
         return math.inf
     return int(token)
-
-
-def _parse_window(text: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"--window wants kmin,kmax, got {text!r}")
-    return int(parts[0]), int(parts[1])
 
 
 def _load_json(path):
@@ -108,11 +101,15 @@ def _check_flag_floors(args) -> None:
             raise ValueError(f"--{dest.replace('_', '-')} must be >= {floor}, got {value}")
 
 
+def _write(path, text: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
+
 def _emit(report: dict, out_path=None) -> None:
     text = json.dumps(report, indent=2) + "\n"
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        _write(out_path, text)
     sys.stdout.write(text)
 
 
@@ -129,13 +126,16 @@ def _cmd_growth(args) -> int:
     handle = make_group(spec)
     gens = handle.default_generators()
     # a window the requested table cannot hold is bad input, caught before any enumeration
-    window = check_window(_parse_window(args.window), args.kmax) if args.window else None
+    window = None
+    if args.window:
+        lo, hi = map(int, _fields(args.window, 2, "--window wants kmin,kmax"))
+        window = check_window((lo, hi), args.kmax)
     table = growth_table(
         handle, gens, args.kmax, max_elements=args.max_elements, max_seconds=args.max_seconds
     )
     rates = estimate_rates(table, window=window)
     if args.out:
-        write_table_csv(table, args.out)
+        _write(args.out, "\n".join(table_csv_rows(table)) + "\n")
     report = {
         "spec": spec.to_dict(),
         "generators": _gens_dict(gens),
@@ -158,7 +158,8 @@ def _cmd_bound(args) -> int:
     if name == "osin":
         if not args.matrix:
             raise ValueError("--theorem osin needs --matrix a,b,c,d")
-        report = osin_bound(_parse_matrix(args.matrix))
+        entries = _fields(args.matrix, 4, "--matrix wants four comma-separated integers")
+        report = osin_bound(MatrixZ2(*map(int, entries)))
     elif name == "surface":
         genus = args.genus
         if genus is None and args.spec:
@@ -176,10 +177,7 @@ def _cmd_bound(args) -> int:
     elif name in ("amalgam", "hnn"):
         if not args.indices:
             raise ValueError(f"--theorem {name} needs --indices i1,i2 (use 'inf' for infinite)")
-        parts = args.indices.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"--indices wants two values, got {args.indices!r}")
-        i1, i2 = _parse_index(parts[0]), _parse_index(parts[1])
+        i1, i2 = map(_parse_index, _fields(args.indices, 2, "--indices wants two values"))
         report = amalgam_bound(i1, i2) if name == "amalgam" else hnn_bound(i1, i2)
     elif name == "bcg":
         table = _load_bcg(args.bcg) if args.bcg else {}
@@ -233,7 +231,7 @@ def _cmd_verify(args) -> int:
 def _cmd_scan(args) -> int:
     report = scan_hyperbolic(args.entry_bound)
     if args.out:
-        write_scan_csv(report, args.out)
+        _write(args.out, "\n".join(scan_csv_rows(report)) + "\n")
     classes = []
     for summary in report.classes:
         classes.append(
@@ -406,7 +404,7 @@ def main(argv=None) -> int:
     try:
         _check_flag_floors(args)
         return args.func(args)
-    except (GroupGrowthError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (GroupGrowthError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

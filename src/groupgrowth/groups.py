@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from .errors import InvalidSpec, InvalidGenus
 from .surface import SurfaceRelator, dehn_reduce, surface_canonical
@@ -34,9 +35,12 @@ def _letter_names(n: int) -> list[str]:
     return [f"x{i + 1}" for i in range(n)]
 
 
-@dataclass(frozen=True)
-class MatrixZ2:
-    """Exact 2x2 integer matrix, row-major entries a b / c d."""
+class MatrixZ2(NamedTuple):
+    """Exact 2x2 integer matrix, row-major entries a b / c d.
+
+    It is the tuple (a, b, c, d): it unpacks as four ints and compares equal
+    to the plain 4-tuple of its entries.
+    """
 
     a: int
     b: int
@@ -64,28 +68,16 @@ class MatrixZ2:
         return self.a + self.d
 
     def mul(self, other: "MatrixZ2") -> "MatrixZ2":
-        return MatrixZ2(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def apply(self, v: tuple[int, int]) -> tuple[int, int]:
-        x, y = v
-        return (self.a * x + self.b * y, self.c * x + self.d * y)
+        a, b, c, d = self
+        e, f, g, h = other
+        return MatrixZ2(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
     def inverse(self) -> "MatrixZ2":
-        det = self.det()
-        if det == 1:
-            return MatrixZ2(self.d, -self.b, -self.c, self.a)
-        if det == -1:
-            return MatrixZ2(-self.d, self.b, self.c, -self.a)
-        raise InvalidSpec(f"matrix with det {det} has no integer inverse")
-
-    @classmethod
-    def identity(cls) -> "MatrixZ2":
-        return cls(1, 0, 0, 1)
+        a, b, c, d = self
+        det = a * d - b * c
+        if det not in (1, -1):
+            raise InvalidSpec(f"matrix with det {det} has no integer inverse")
+        return MatrixZ2(det * d, -det * b, -det * c, det * a)  # the adjugate over det
 
 
 class SpecBase:
@@ -610,34 +602,30 @@ class TorusBundleGroup(GroupHandle):
 
     def __init__(self, spec: GroupSpec):
         super().__init__(spec)
-        self.matrix = spec.matrix
-        self._inverse = spec.matrix.inverse()
-        self._powers = {0: MatrixZ2.identity()}
+        # M^n for a contiguous run of exponents n around 0
+        self._powers = {0: MatrixZ2(1, 0, 0, 1), 1: spec.matrix, -1: spec.matrix.inverse()}
 
     def _power(self, n: int) -> MatrixZ2:
-        cached = self._powers.get(n)
-        if cached is not None:
-            return cached
-        step = self.matrix if n > 0 else self._inverse
-        closest = max(self._powers) if n > 0 else min(self._powers)
-        acc = self._powers[closest]
-        k = closest
-        while k != n:
-            k += 1 if n > 0 else -1
-            acc = acc.mul(step) if n > 0 else step.mul(acc)
-            self._powers[k] = acc
-        return acc
+        powers = self._powers
+        if n not in powers:
+            # extend the run from its end on n's side, one factor of M^(+-1) at a time
+            unit = 1 if n > 0 else -1
+            k = max(powers) if n > 0 else min(powers)
+            while k != n:
+                powers[k + unit] = powers[k].mul(powers[unit])
+                k += unit
+        return powers[n]
 
     def mul(self, a, b):
         x1, y1, n1 = a
         x2, y2, n2 = b
-        tx, ty = self._power(n1).apply((x2, y2))
-        return (x1 + tx, y1 + ty, n1 + n2)
+        p, q, r, s = self._power(n1)
+        return (x1 + p * x2 + q * y2, y1 + r * x2 + s * y2, n1 + n2)
 
     def inv(self, a):
         x, y, n = a
-        tx, ty = self._power(-n).apply((x, y))
-        return (-tx, -ty, -n)
+        p, q, r, s = self._power(-n)
+        return (-p * x - q * y, -r * x - s * y, -n)
 
     def orbit_rep(self, a):
         # -I on Z^2 commutes with every matrix power, so (v, n) -> (-v, n) is

@@ -219,6 +219,26 @@ def heisenberg_mul(a, b):
     return (a[0] + b[0], a[1] + b[1], a[2] + b[2] + a[0] * b[1])
 
 
+def torus_bundle_mul(rows, a, b):
+    """(v1, n1) * (v2, n2) = (v1 + A^n1 v2, n1 + n2) in the bundle of A = rows.
+
+    A^n is a product of |n| factors A, or of A^-1 when n < 0; A^-1 is the
+    adjugate times det A, as det A = +-1.
+    """
+    (p, q), (r, s) = rows
+    det = p * s - q * r
+    step = rows if a[2] >= 0 else ((det * s, -det * q), (-det * r, det * p))
+    power = ((1, 0), (0, 1))
+    for _ in range(abs(a[2])):
+        power = tuple(
+            tuple(sum(power[i][k] * step[k][j] for k in range(2)) for j in range(2))
+            for i in range(2)
+        )
+    x = a[0] + power[0][0] * b[0] + power[0][1] * b[1]
+    y = a[1] + power[1][0] * b[0] + power[1][1] * b[1]
+    return (x, y, a[2] + b[2])
+
+
 def all_int_matrices(bound):
     rng = range(-bound, bound + 1)
     return product(rng, rng, rng, rng)

@@ -160,7 +160,7 @@ def test_is_hyperbolic():
     assert not is_hyperbolic(mat(0, 1, -1, 0))  # rotation
     assert not is_hyperbolic(mat(1, 1, 0, 1))  # shear
     assert not is_hyperbolic(mat(2, 0, 0, 2))  # det 4
-    assert not is_hyperbolic(MatrixZ2.identity())
+    assert not is_hyperbolic(MatrixZ2(1, 0, 0, 1))
 
 
 # --- Osin bound --------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -115,10 +116,16 @@ def test_matrix_validation():
         MatrixZ2.from_rows(((True, 0), (0, 1)))
 
 
+def test_matrix_is_its_entry_tuple():
+    assert A21 == (2, 1, 1, 1) and hash(A21) == hash((2, 1, 1, 1))
+    assert repr(A21) == "MatrixZ2(a=2, b=1, c=1, d=1)"
+    assert A21.rows() == [[2, 1], [1, 1]]
+
+
 def test_matrix_algebra():
     assert A21.det() == 1
     assert A21.trace() == 3
-    ident = MatrixZ2.identity()
+    ident = MatrixZ2(1, 0, 0, 1)
     assert A21.mul(ident) == A21
     assert A21.mul(A21.inverse()) == ident
     assert A_DETM1.det() == -1
@@ -274,10 +281,33 @@ def test_torus_bundle_conjugation(matrix):
     # t (x, y) t^-1 = A (x, y)
     for v in (e1, e2, (3, -2, 0)):
         conj = handle.mul(handle.mul(t, v), handle.inv(t))
-        ax, ay = matrix.apply((v[0], v[1]))
-        assert conj == (ax, ay, 0)
+        x, y, _ = v
+        assert conj == (matrix.a * x + matrix.b * y, matrix.c * x + matrix.d * y, 0)
     # the fiber Z^2 is abelian
     assert handle.mul(e1, e2) == handle.mul(e2, e1)
+
+
+@pytest.mark.parametrize("first_n", [-12, 12])
+@pytest.mark.parametrize(
+    "matrix", [MatrixZ2(3, 1, 2, 1), MatrixZ2(1, 2, 1, 1)], ids=["det+1", "det-1"]
+)
+def test_torus_bundle_arithmetic_matches_oracle(matrix, first_n):
+    # not symmetric, so a transposed power fails; a fresh handle whose first
+    # product needs M^first_n fills its memo in that direction
+    handle = make_group(GroupSpec.torus_bundle(matrix))
+    rows = matrix.rows()
+    rng = random.Random(first_n)
+
+    def sample(n=None):
+        return (rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(-12, 12) if n is None else n)
+
+    pairs = [(sample(first_n), sample())] + [(sample(), sample()) for _ in range(400)]
+    for a, b in pairs:
+        assert handle.mul(a, b) == oracles.torus_bundle_mul(rows, a, b)
+        inv = handle.inv(a)
+        assert oracles.torus_bundle_mul(rows, a, inv) == handle.identity
+        assert oracles.torus_bundle_mul(rows, inv, a) == handle.identity
+    assert sorted(handle._powers) == list(range(-12, 13))  # one contiguous run
 
 
 def test_free_product_syllables_alternate():

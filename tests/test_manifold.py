@@ -53,7 +53,7 @@ def test_manifold_validation():
     with pytest.raises(InvalidSpec, match="non-trivial"):  # S^3 is the unit of #
         ManifoldSpec.connected_sum([ManifoldSpec.lens_like(1), ManifoldSpec.three_torus()])
     with pytest.raises(InvalidSpec):
-        ManifoldSpec.hyperbolic_torus_bundle(MatrixZ2.identity())
+        ManifoldSpec.hyperbolic_torus_bundle(MatrixZ2(1, 0, 0, 1))
     with pytest.raises(InvalidSpec):
         ManifoldSpec.seifert_product(1)
     with pytest.raises(InvalidSpec):
