@@ -8,8 +8,10 @@ for exact counts.
 
 `growth_table` counts one automorphism orbit at a time when it can.  Z^n
 (signed coordinate permutations), heisenberg (the dihedral group of order 8
-on x, y) and torus bundles (-I on Z^2) declare a finite group A of
-automorphisms that permutes their default generators.  A then maps every
+on x, y) and torus bundles declare a finite group A of automorphisms that
+permutes their default generators.  A bundle's A holds -I on Z^2 and, when a
+signed permutation P of Z^2 has P M = M^-1 P for the monodromy M, the map
+(v, n) -> (Pv, -n) as well, which swaps t and t^-1: order 4, else order 2.  A then maps every
 sphere onto itself, since a(g s) = a(g) a(s), so BFS keeps one representative
 per A-orbit and adds the orbit's length to the count.  This holds only for a
 generating set equal, as a set, to the default one; any other set, and every

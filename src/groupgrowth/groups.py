@@ -595,8 +595,25 @@ class SurfaceGroup(FreeGroup):
         return self._normal(free_reduce(invert(a)))
 
 
+# the signed permutations of Z^2 other than +-I: two rotations, two swaps, two reflections
+_FLIPS = tuple(
+    MatrixZ2(*entries)
+    for entries in ((0, -1, 1, 0), (0, 1, -1, 0), (0, 1, 1, 0), (0, -1, -1, 0), (1, 0, 0, -1), (-1, 0, 0, 1))
+)
+
+
 class TorusBundleGroup(GroupHandle):
-    """Split extension of Z^2 by Z: elements (x, y, n), conjugation by the matrix."""
+    """Split extension of Z^2 by Z: elements (x, y, n), conjugation by the matrix.
+
+    Its orbit group holds (v, n) -> (-v, n), as -I commutes with every power
+    of M.  When a signed permutation P of Z^2 has P M = M^-1 P, so that
+    P M^n = M^-n P for every n, (v, n) -> (Pv, -n) is an automorphism too:
+    it swaps t with t^-1 and permutes e1, e2 and their inverses.  The two
+    generate a group of order 4.  For M = [[a, b], [c, d]] of det 1 such a P
+    exists exactly when b = c (a rotation), b = -c (a swap) or a = d (a
+    reflection); a matrix with none, [[3, 1], [2, 1]] for one, keeps the
+    order-2 group.
+    """
 
     identity = (0, 0, 0)
 
@@ -604,6 +621,8 @@ class TorusBundleGroup(GroupHandle):
         super().__init__(spec)
         # M^n for a contiguous run of exponents n around 0
         self._powers = {0: MatrixZ2(1, 0, 0, 1), 1: spec.matrix, -1: spec.matrix.inverse()}
+        # the first P with P M = M^-1 P, or None
+        self._flip = next((p for p in _FLIPS if p.mul(spec.matrix) == self._powers[-1].mul(p)), None)
 
     def _power(self, n: int) -> MatrixZ2:
         powers = self._powers
@@ -628,15 +647,32 @@ class TorusBundleGroup(GroupHandle):
         return (-p * x - q * y, -r * x - s * y, -n)
 
     def orbit_rep(self, a):
-        # -I on Z^2 commutes with every matrix power, so (v, n) -> (-v, n) is
-        # an automorphism; it swaps e1, e2 with their inverses and fixes t
+        # -I brings (x, y) to >= (0, 0) lexicographically; the flip P brings n
+        # to >= 0, and at n = 0 the lesser of the sign-normalised v and Pv wins
         x, y, n = a
+        if n <= 0 and self._flip is not None:
+            p, q, r, s = self._flip
+            u, w = p * x + q * y, r * x + s * y
+            if n == 0:
+                # max(v, -v) is v sign-normalised
+                return min(max((x, y, 0), (-x, -y, 0)), max((u, w, 0), (-u, -w, 0)))
+            x, y, n = u, w, -n
+            a = (x, y, n)
         if x < 0 or (x == 0 and y < 0):
             return (-x, -y, n)
         return a
 
     def orbit_size(self, rep):
-        return 1 if rep[0] == rep[1] == 0 else 2
+        x, y, n = rep
+        if self._flip is None:
+            return 1 if x == y == 0 else 2
+        if x == y == 0:
+            return 2 if n else 1
+        if n:
+            return 4
+        # at n = 0 the orbit is +-v, +-Pv, and Pv = +-v only on an eigenvector of P
+        p, q, r, s = self._flip
+        return 2 if (p * x + q * y, r * x + s * y) in ((x, y), (-x, -y)) else 4
 
     def _letters(self):
         return [("e1", (1, 0, 0)), ("e2", (0, 1, 0)), ("t", (0, 0, 1))]

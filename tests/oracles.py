@@ -323,9 +323,33 @@ def heisenberg_automorphisms():
     ]
 
 
-def torus_bundle_automorphisms():
-    """Identity and (x, y, n) -> (-x, -y, n): -I commutes with every monodromy."""
-    return [lambda p: p, lambda p: (-p[0], -p[1], p[2])]
+def torus_bundle_automorphisms(rows):
+    """(v, n) -> (Pv, e*n) for each of the 8 signed permutations P of Z^2 and
+    each e = +-1 with P A = A^e P, in the bundle of A = rows.
+
+    Then P A^n = A^(e*n) P for every n, so the map is a homomorphism: it
+    permutes e1, e2 and their inverses and sends t to t^e.  P = I with e = 1
+    is always kept, and so is P = -I.
+    """
+    (p, q), (r, s) = rows
+    det = p * s - q * r
+    power = {1: ((p, q), (r, s)), -1: ((det * s, -det * q), (-det * r, det * p))}
+
+    def matmul(u, v):
+        return tuple(tuple(sum(u[i][k] * v[k][j] for k in range(2)) for j in range(2)) for i in range(2))
+
+    maps = []
+    for perm in permutations(range(2)):
+        for signs in product((1, -1), repeat=2):
+            P = tuple(tuple(signs[i] if j == perm[i] else 0 for j in range(2)) for i in range(2))
+            for e in (1, -1):
+                if matmul(P, power[1]) == matmul(power[e], P):
+                    maps.append(
+                        lambda a, P=P, e=e: (
+                            P[0][0] * a[0] + P[0][1] * a[1], P[1][0] * a[0] + P[1][1] * a[1], e * a[2]
+                        )
+                    )
+    return maps
 
 
 def orbit(maps, a):

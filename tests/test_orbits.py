@@ -7,7 +7,9 @@ balls one orbit at a time as the plain kernel and the naive oracle do.
 """
 
 import itertools
+import pathlib
 import random
+import sys
 
 import pytest
 
@@ -21,6 +23,14 @@ TRACE3 = tuple(
     for a, b, c, d in itertools.product(range(-3, 4), repeat=4)
     if a * d - b * c == 1 and a + d == 3
 )
+
+# monodromies whose flip P (P M = M^-1 P) is a rotation, a swap and a
+# reflection; a det -1 matrix and one with det 1, which have no P
+ROTATION = ((2, 1), (1, 1))
+SWAP = ((3, -1), (1, 0))
+REFLECTION = ((2, 3), (1, 2))
+DET_MINUS_1 = ((1, 1), (1, 0))
+NO_FLIP = ((3, 1), (2, 1))
 
 
 def bundle(rows):
@@ -41,12 +51,29 @@ FAMILIES = {
         oracles.heisenberg_automorphisms(),
         list(itertools.product(range(-4, 5), range(-4, 5), range(-9, 10))),
     ),
-    "bundle": (
-        bundle(TRACE3[0]),
-        oracles.torus_bundle_automorphisms(),
-        list(itertools.product(range(-3, 4), range(-3, 4), range(-2, 3))),
-    ),
+    **{
+        name: (
+            bundle(rows),
+            oracles.torus_bundle_automorphisms(rows),
+            list(itertools.product(range(-3, 4), range(-3, 4), range(-2, 3))),
+        )
+        for name, rows in (
+            ("bundle", ROTATION),
+            ("bundle-swap", SWAP),
+            ("bundle-reflection", REFLECTION),
+            ("bundle-det-1", DET_MINUS_1),
+            ("bundle-no-flip", NO_FLIP),
+        )
+    },
 }
+
+# at n = 0 the axes and the diagonals x = +-y hold the eigenvectors of P,
+# and (0, 0, n) is fixed by -I
+BUNDLE_TIES = [
+    (2, 2, 0), (-2, -2, 0), (2, -2, 0), (-3, 3, 0), (1, 1, 0), (3, 0, 0), (-3, 0, 0), (0, 2, 0), (0, -1, 0),
+    (0, 0, 3), (0, 0, -3), (0, 0, 1), (0, 0, -1), (0, 0, 0),
+    (0, -2, 1), (0, 2, -1), (-1, 5, 2), (1, -5, 2), (2, 2, -1), (-2, 2, 1), (1, 2, 0), (2, 1, 0),
+]
 
 # the elements on the axes and diagonals, where the stabiliser is not trivial
 TIES = {
@@ -57,7 +84,7 @@ TIES = {
     ],
     "Z^3": [(2, 2, 0), (-2, 2, 0), (0, 0, 3), (0, 0, 0), (1, -1, 1), (-3, 0, 3), (2, -1, 2), (0, 5, 0)],
     "Z^4": [(1, 1, 1, 1), (-1, 0, 1, 0), (0, 0, 0, 2), (3, -3, 0, 0), (2, 2, -1, -1)],
-    "bundle": [(0, -2, 1), (0, 2, -1), (0, -1, 0), (0, 0, 3), (0, 0, -3), (0, 0, 0), (-1, 5, 2), (1, -5, 2)],
+    **{name: BUNDLE_TIES for name in FAMILIES if name.startswith("bundle")},
 }
 
 
@@ -97,7 +124,10 @@ def test_oracle_lists_have_the_group_orders():
     # distinct maps on a point with trivial stabiliser
     assert len(oracles.orbit(oracles.z_n_automorphisms(3), (1, 2, 3))) == 48
     assert len(oracles.orbit(oracles.heisenberg_automorphisms(), (1, 2, 5))) == 8
-    assert len(oracles.orbit(oracles.torus_bundle_automorphisms(), (1, 0, 0))) == 2
+    for rows in (ROTATION, SWAP, REFLECTION):
+        assert len(oracles.orbit(oracles.torus_bundle_automorphisms(rows), (1, 2, 3))) == 4
+    for rows in (DET_MINUS_1, NO_FLIP):
+        assert len(oracles.orbit(oracles.torus_bundle_automorphisms(rows), (1, 2, 3))) == 2
 
 
 def assert_orbit_map(handle, maps, elements):
@@ -133,6 +163,9 @@ def test_named_ties(family):
         (GroupSpec.free_abelian(4), 9),
         (GroupSpec.free_abelian(1), 12),
         *[(bundle(rows), 10) for rows in TRACE3],
+        (bundle(REFLECTION), 9),
+        (bundle(DET_MINUS_1), 10),
+        (bundle(NO_FLIP), 10),
     ],
     ids=lambda v: v.describe() if isinstance(v, GroupSpec) else str(v),
 )
@@ -146,7 +179,13 @@ def test_orbit_gamma_matches_naive_bfs(spec, kmax):
 
 @pytest.mark.parametrize(
     "spec,kmax",
-    [(GroupSpec.heisenberg(), 9), (GroupSpec.free_abelian(3), 8), (bundle(TRACE3[3]), 6)],
+    [
+        (GroupSpec.heisenberg(), 9),
+        (GroupSpec.free_abelian(3), 8),
+        (bundle(TRACE3[3]), 6),
+        (bundle(SWAP), 6),
+        (bundle(NO_FLIP), 5),
+    ],
     ids=lambda v: v.describe() if isinstance(v, GroupSpec) else str(v),
 )
 def test_element_caps_cut_at_the_plain_kernels_sphere(spec, kmax):
@@ -189,11 +228,10 @@ def test_other_generating_sets_run_the_plain_kernel(spec, letters, kmax):
     assert table.gamma == oracles.naive_ball_sizes(handle, gens.elements, kmax)
 
 
-def test_heisenberg_orbit_path_forms_under_a_third_of_the_products():
-    # a refactor that silently falls back to whole spheres still gets every
-    # gamma right; only the product count shows it
-    handle = make_group(GroupSpec.heisenberg())
-    gens = shuffled_defaults(handle, seed=17)
+def product_counts(spec, kmax, seed):
+    """Products formed by the orbit kernel and by the plain kernel, on shuffled default letters."""
+    handle = make_group(spec)
+    gens = shuffled_defaults(handle, seed=seed)
     products = 0
     mul = handle.mul
 
@@ -203,9 +241,42 @@ def test_heisenberg_orbit_path_forms_under_a_third_of_the_products():
         return mul(a, b)
 
     handle.mul = counting_mul
-    orbit = growth_table(handle, gens, 17)
+    orbit = growth_table(handle, gens, kmax)
     orbit_products, products = products, 0
-    plain = plain_table(handle, gens, 17)
+    plain = plain_table(handle, gens, kmax)
     assert orbit.gamma == plain.gamma
-    assert products == 4 * plain.gamma[16]
-    assert orbit_products < products / 3
+    # the plain kernel multiplies every element of the ball of radius kmax-1 by every letter
+    assert products == len(gens.elements) * plain.gamma[kmax - 1]
+    return orbit_products, products
+
+
+# a refactor that silently falls back to whole spheres, or to a smaller orbit
+# group, still gets every gamma right; only the product count shows it
+
+
+def test_heisenberg_orbit_path_forms_under_a_third_of_the_products():
+    orbit_products, plain_products = product_counts(GroupSpec.heisenberg(), 17, seed=17)
+    assert orbit_products < plain_products / 3
+
+
+def test_bundle_orbit_path_forms_under_a_third_of_the_products():
+    # 10,944 of 43,662; the order-2 group {+-I} alone forms 21,882
+    orbit_products, plain_products = product_counts(bundle(ROTATION), 9, seed=9)
+    assert plain_products == 43_662
+    assert orbit_products < plain_products / 3
+
+
+def test_bundle_without_a_flip_keeps_the_order_two_products():
+    orbit_products, _ = product_counts(bundle(NO_FLIP), 9, seed=9)
+    assert orbit_products == 48_342
+
+
+def test_every_benchmark_monodromy_has_a_flip(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # perfbench/ stays untouched
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parent.parent / "perfbench"))
+    from workloads import TRACE3_MATRICES
+
+    assert set(TRACE3_MATRICES) == set(TRACE3)
+    for rows in TRACE3_MATRICES:
+        assert len(oracles.torus_bundle_automorphisms(rows)) == 4, rows
+        assert make_group(bundle(rows)).orbit_size((1, 2, 3)) == 4, rows
