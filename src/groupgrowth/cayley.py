@@ -1,21 +1,18 @@
-"""Exact Cayley-ball enumeration by breadth-first search.
+"""Exact Cayley-ball counts: breadth-first search, or a per-family counter.
 
-Spheres are deduped on element payloads, which every family keeps in canonical
-hashable form, so no product is encoded to bytes.  Because every generator has
-word length one, a product of a sphere-k element with a letter lands in sphere
-k-1, k, or k+1; keeping the two newest spheres in memory is therefore enough
-for exact counts.
+`growth_table` chooses its counting path in one place.  On the default
+generating set (equal as a set, in any order) of Z^n, heisenberg and torus
+bundles, a per-family counter yields the ball sizes and never forms a group
+element: Z^n in closed form, heisenberg by central columns, a torus bundle by
+t-layers of sign classes.  Any other generating set, and every other family,
+runs `spheres`, a frontier BFS.  Either way the element cap and the time
+budget are applied once, to the ball sizes the path yields.
 
-`growth_table` counts one automorphism orbit at a time when it can.  Z^n
-(signed coordinate permutations), heisenberg (the dihedral group of order 8
-on x, y) and torus bundles declare a finite group A of automorphisms that
-permutes their default generators.  A bundle's A holds -I on Z^2 and, when a
-signed permutation P of Z^2 has P M = M^-1 P for the monodromy M, the map
-(v, n) -> (Pv, -n) as well, which swaps t and t^-1: order 4, else order 2.  A then maps every
-sphere onto itself, since a(g s) = a(g) a(s), so BFS keeps one representative
-per A-orbit and adds the orbit's length to the count.  This holds only for a
-generating set equal, as a set, to the default one; any other set, and every
-other family, enumerates whole spheres.
+BFS dedups spheres on element payloads, which every family keeps in canonical
+hashable form, so no product is encoded to bytes.  Because every generator
+has word length one, a product of a sphere-k element with a letter lands in
+sphere k-1, k, or k+1; keeping the two newest spheres in memory is therefore
+enough for exact counts.
 """
 
 from __future__ import annotations
@@ -74,32 +71,17 @@ class GrowthTable:
         object.__setattr__(self, "sigma", sigma)
 
 
-def spheres(handle: GroupHandle, gens: GeneratingSet, max_elements: int | None = None, orbits: bool = False):
-    """Yield (sphere, size) for the spheres S(1), S(2), ... of the Cayley graph.
+def spheres(handle: GroupHandle, gens: GeneratingSet, max_elements: int | None = None):
+    """Yield the spheres S(1), S(2), ... of the Cayley graph as sets of payloads.
 
-    A sphere is a set of payloads; payloads are canonical and hashable, so set
-    membership is group equality.  Plain, it holds every element and its size
-    is its length.  With `orbits`, the caller vouches that the handle's orbit
-    map permutes `gens`: the sphere then holds one `orbit_rep` per orbit, and
-    its size is the sum of their `orbit_size`s.  Only the two newest spheres
-    are kept.  The first empty sphere (the group is exhausted) is yielded
-    last.  With `max_elements`, the generator stops as soon as the ball would
-    outgrow the cap, inside the product loop when the sphere's length already
-    does, without yielding the sphere that overflowed; a run that ends
-    without an empty sphere was therefore cut short.
+    Payloads are canonical and hashable, so set membership is group equality.
+    Only the two newest spheres are kept.  The first empty sphere (the group
+    is exhausted) is yielded last.  With `max_elements`, the generator stops
+    inside the product loop as soon as the ball would outgrow the cap, without
+    yielding the sphere that overflowed; a run that ends without an empty
+    sphere was therefore cut short.
     """
     mul = handle.mul
-    if orbits:
-        rep, orbit_size = handle.orbit_rep, handle.orbit_size
-
-        def step(el, s):
-            return rep(mul(el, s))
-
-        def weight(sphere):
-            return sum(map(orbit_size, sphere))
-
-    else:
-        step, weight = mul, len
     letters = gens.elements
     room = math.inf if max_elements is None else max_elements - 1
     prev: set = set()
@@ -108,20 +90,116 @@ def spheres(handle: GroupHandle, gens: GeneratingSet, max_elements: int | None =
         nxt: set = set()
         for el in cur:
             for s in letters:
-                prod = step(el, s)
+                prod = mul(el, s)
                 # repeats land in S(k+1) or S(k-1) more often than in S(k)
                 if prod in nxt or prod in prev or prod in cur:
                     continue
                 nxt.add(prod)
-                # a sphere's size is at least its length
                 if len(nxt) > room:
                     return
-        size = weight(nxt)
-        if size > room:
-            return
-        yield nxt, size
-        room -= size
+        yield nxt
+        room -= len(nxt)
         prev, cur = cur, nxt
+
+
+def _free_abelian_balls(handle):
+    """gamma(1), gamma(2), ... of Z^n on the unit vectors: a point of l1 norm <= k
+    with i nonzero coordinates picks their places, C(n, i) ways, their signs,
+    2^i, and their absolute values, of sum <= k, C(k, i) ways."""
+    n = handle.n
+    for k in itertools.count(1):
+        yield sum(math.comb(n, i) * math.comb(k, i) << i for i in range(n + 1))
+
+
+def _heisenberg_balls(handle):
+    """gamma(1), gamma(2), ... of heisenberg on x and y, by central columns.
+
+    Column (x, y) of a ball is the set of z with (x, y, z) in it.  As
+    (x, y, z)x^+-1 = (x+-1, y, z) and (x, y, z)y^+-1 = (x, y+-1, z+-x), column
+    (x, y) of B(k+1) is the union of columns (x, y), (x-1, y) and (x+1, y) of
+    B(k), column (x, y-1) shifted by x and column (x, y+1) shifted by -x.  A
+    column is an int with bit z + off set for each of its z: the union is
+    exact.  A letter moves z by |x| <= k on B(k), so |z| <= k(k+1)/2 on
+    B(k+1), and off grows past that with the radius: no right shift drops a
+    bit.  (x, y, z) -> (-x, -y, z) is an automorphism that permutes the
+    letters, so only columns with x > 0, or x = 0 and y >= 0, are kept."""
+    off = 0
+    cols = {(0, 0): 1}
+    for k in itertools.count():
+        need = k * (k + 1) // 2
+        if need > off:
+            grow = 2 * need - off
+            cols = {c: mask << grow for c, mask in cols.items()}
+            off += grow
+        whole = {(-x, -y): mask for (x, y), mask in cols.items()}
+        whole.update(cols)
+        get = whole.get
+        r = k + 1
+        cols = {
+            (x, y): get((x, y), 0) | get((x - 1, y), 0) | get((x + 1, y), 0)
+            | get((x, y - 1), 0) << x | get((x, y + 1), 0) >> x
+            for x in range(r + 1)
+            for y in range(x - r if x else 0, r - x + 1)
+        }
+        yield 2 * sum(mask.bit_count() for mask in cols.values()) - cols[0, 0].bit_count()
+
+
+def _torus_bundle_balls(handle):
+    """gamma(1), gamma(2), ... of a torus bundle on e1, e2 and t, by t-layers.
+
+    As (v, n)e_i^+-1 = (v +- M^n e_i, n) and (v, n)t^+-1 = (v, n+-1), layer n
+    of S(k+1) is layer n of S(k) shifted by +-M^n e_i, plus layers n-1 and
+    n+1 of S(k) as they are, less layer n of S(k) and of S(k-1).  A vector
+    (x, y) is encoded as E = xW + y.  E is linear, so a shift is one addition,
+    and it is injective where W > 2 max(|x|, |y|).  A word of length K adds at
+    most K vectors M^n e_i with |n| < K, so W = 2K max_{|n|<=K} |M^n|_max + 1
+    covers B(K); K doubles, and the two kept spheres are re-encoded, when the
+    radius reaches it.  (v, n) -> (-v, n) is an automorphism that permutes
+    the letters, and E(-v) = -E(v), so a layer holds |E| for each class
+    {v, -v}: two elements, or one for v = 0.
+    """
+    power = handle.power
+
+    def width(K):
+        return 2 * K * max(max(map(abs, power(n))) for n in range(-K, K + 1)) + 1
+
+    K, W = 4, width(4)
+    ball, prev, cur = 1, {}, {0: {0}}
+    for k in itertools.count():
+        if k >= K:
+            K, old, W = 2 * K, W, width(2 * K)
+            half = old // 2
+
+            def recode(e):
+                x, y = divmod(e + half, old)
+                return abs(x * W + y - half)
+
+            prev, cur = (
+                {n: set(map(recode, layer)) for n, layer in sphere.items()} for sphere in (prev, cur)
+            )
+        nxt = {}
+        for n in range(-k - 1, k + 2):
+            new = cur.get(n - 1, set()) | cur.get(n + 1, set())
+            layer = cur.get(n, set())
+            if layer:
+                p, q, r, s = power(n)
+                for d in (p * W + r, q * W + s):
+                    new.update(map(abs, map(d.__add__, layer)), map(abs, map((-d).__add__, layer)))
+            new -= layer
+            new -= prev.get(n, set())
+            if new:
+                nxt[n] = new
+        ball += sum(2 * len(layer) - (0 in layer) for layer in nxt.values())
+        yield ball
+        prev, cur = cur, nxt
+
+
+# family -> ball counter for its default generating set
+_BALL_COUNTERS = {
+    "free_abelian": _free_abelian_balls,
+    "heisenberg": _heisenberg_balls,
+    "torus_bundle": _torus_bundle_balls,
+}
 
 
 def growth_table(
@@ -131,35 +209,41 @@ def growth_table(
     max_elements: int | None = None,
     max_seconds: float | None = None,
 ) -> GrowthTable:
-    """Exact gamma via frontier BFS, one automorphism orbit at a time when
-    `gens` is the default generating set of a family with an orbit map.
+    """Exact gamma from the family's ball counter when `gens` is its default
+    generating set as a set, else from frontier BFS.
 
-    Stops early with ``complete=False`` when a budget runs out; the table is
-    truncated at the last fully enumerated sphere.  A surface group whose
-    canonicalization blows its closure budget raises ClosureBudgetExceeded.
+    Stops early with ``complete=False`` when a budget runs out: before the
+    first ball larger than `max_elements`, or at the first radius reached
+    after `max_seconds`.  The table is truncated at the last ball counted in
+    full.  A surface group whose canonicalization blows its closure budget
+    raises ClosureBudgetExceeded.
     """
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
     t0 = time.monotonic()
-    orbits = handle.orbit_rep is not None and set(gens.elements) == set(
-        handle.default_generators().elements
-    )
-    kernel = spheres(handle, gens, max_elements, orbits)
+    counter = _BALL_COUNTERS.get(handle.spec.family)
+    if counter is not None and set(gens.elements) == set(handle.default_generators().elements):
+        balls = counter(handle)
+    else:
+        balls = itertools.accumulate(map(len, spheres(handle, gens, max_elements)), initial=1)
+        next(balls)  # gamma(0)
+    cap = math.inf if max_elements is None else max_elements
     gamma = [1]
     complete = True
     while len(gamma) <= kmax:
         if max_seconds is not None and time.monotonic() - t0 > max_seconds:
             complete = False
             break
-        sphere = next(kernel, None)
-        if sphere is None:  # the element cap cut this sphere short
+        ball = next(balls, None)
+        # BFS stops inside the sphere that would pass the cap; a counter's ball is cut here
+        if ball is None or ball > cap:
             complete = False
             break
-        _, size = sphere
-        gamma.append(gamma[-1] + size)
-        if not size:
-            # group exhausted: every later sphere is empty
-            gamma.extend([gamma[-1]] * (kmax + 1 - len(gamma)))
+        if ball == gamma[-1]:
+            # group exhausted: every later ball is this one
+            gamma.extend([ball] * (kmax + 1 - len(gamma)))
+            break
+        gamma.append(ball)
     return GrowthTable(spec=handle.spec, gens=gens, gamma=tuple(gamma), complete=complete)
 
 
@@ -170,7 +254,7 @@ def ball_elements(handle: GroupHandle, gens: GeneratingSet, radius: int) -> list
     pure function of the inputs.
     """
     out = [handle.identity]
-    for sphere, _ in itertools.islice(spheres(handle, gens), max(radius, 0)):
+    for sphere in itertools.islice(spheres(handle, gens), max(radius, 0)):
         out.extend(sorted(sphere, key=handle.canonical_key))
     return out
 
@@ -185,7 +269,7 @@ def is_generating(handle: GroupHandle, gens: GeneratingSet, radius_cap: int):
     targets = set(handle.default_generators().elements) - {handle.identity}
     if not targets:
         return True
-    for sphere, _ in itertools.islice(spheres(handle, gens), max(radius_cap, 0)):
+    for sphere in itertools.islice(spheres(handle, gens), max(radius_cap, 0)):
         targets -= sphere
         if not targets:
             return True
@@ -201,11 +285,11 @@ def _ball_if_generating(handle: GroupHandle, gens: GeneratingSet, k: int, target
     max(k, 4) and of `growth_table` to radius k.
     """
     ball = 1
-    for radius, (sphere, size) in enumerate(spheres(handle, gens), 1):
+    for radius, sphere in enumerate(spheres(handle, gens), 1):
         targets = targets - sphere
         if radius <= k:
-            ball += size
-        if not size or (radius >= k and not targets) or radius == max(k, 4):
+            ball += len(sphere)
+        if not sphere or (radius >= k and not targets) or radius == max(k, 4):
             break
     return None if targets else ball
 

@@ -8,6 +8,7 @@ additionally write their CSV artifact when --out is given.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -331,7 +332,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once: `parse_args` fills a fresh namespace on every
+    call and changes nothing in the parser, and `_Parser.error` only exits."""
     parser = _Parser(
         prog="groupgrowth",
         description="Exact Cayley-ball growth tables, rate estimates, and lower bounds",
@@ -399,8 +403,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         _check_flag_floors(args)
         return args.func(args)

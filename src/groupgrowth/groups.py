@@ -8,7 +8,6 @@ encodes to the empty key.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, fields
 from typing import NamedTuple
@@ -354,14 +353,14 @@ class GroupHandle:
     construction, but it is not immutable: it may keep a memo that grows as
     it is used (TorusBundleGroup caches matrix powers).  The memo never
     changes a result.
+
+    A handle holds element arithmetic only.  How balls are counted is
+    `cayley.growth_table`'s choice: BFS over `mul` by default, or, on the
+    default generating set of Z^n, heisenberg or a torus bundle, a counter
+    there that reads only the family's parameters and never calls `mul`.
     """
 
     identity = None
-    # A family may name a finite group A of automorphisms that permutes its
-    # default generators: `orbit_rep(a)` is one element of a's A-orbit, the
-    # same for the whole orbit, and `orbit_size(rep)` is the orbit's length.
-    # The representative must cost O(1), as BFS forms one per product.
-    orbit_rep = None
 
     def __init__(self, spec: GroupSpec):
         self.spec = spec
@@ -463,17 +462,6 @@ class FreeAbelianGroup(GroupHandle):
     def inv(self, a):
         return tuple(-x for x in a)
 
-    def orbit_rep(self, a):
-        # signed permutations of the coordinates permute the letters +-e_i
-        return tuple(sorted(map(abs, a)))
-
-    def orbit_size(self, rep):
-        # n! / (prod of multiplicity!) orderings, each nonzero entry with 2 signs
-        size = math.factorial(self.n) << (self.n - rep.count(0))
-        for _, run in itertools.groupby(rep):
-            size //= math.factorial(len(tuple(run)))
-        return size
-
     def _letters(self):
         out = []
         for i in range(self.n):
@@ -506,34 +494,6 @@ class HeisenbergGroup(GroupHandle):
     def inv(self, a):
         x, y, z = a
         return (-x, -y, -z + x * y)
-
-    def orbit_rep(self, a):
-        # D4 is generated by x -> x^-1: (-x, y, -z), y -> y^-1: (x, -y, -z)
-        # and the swap x <-> y: (y, x, xy - z); it permutes x, y and their
-        # inverses.  Bring (x, y) to 0 <= x <= y, then pick z within the
-        # stabiliser of (x, y), which moves z only on the axis and diagonal.
-        x, y, z = a
-        if x < 0:
-            x, z = -x, -z
-        if y < 0:
-            y, z = -y, -z
-        if x > y:
-            x, y, z = y, x, x * y - z
-        if x == 0:
-            return (0, y, min(z, -z))
-        if x == y:
-            return (x, x, min(z, x * x - z))
-        return (x, y, z)
-
-    def orbit_size(self, rep):
-        x, y, z = rep
-        if y == 0:
-            return 2 if z else 1
-        if x == 0:
-            return 8 if z else 4
-        if x == y:
-            return 4 if 2 * z == x * x else 8
-        return 8
 
     def _letters(self):
         # z = [x, y] is a product of the others, so two letters suffice
@@ -595,25 +555,8 @@ class SurfaceGroup(FreeGroup):
         return self._normal(free_reduce(invert(a)))
 
 
-# the signed permutations of Z^2 other than +-I: two rotations, two swaps, two reflections
-_FLIPS = tuple(
-    MatrixZ2(*entries)
-    for entries in ((0, -1, 1, 0), (0, 1, -1, 0), (0, 1, 1, 0), (0, -1, -1, 0), (1, 0, 0, -1), (-1, 0, 0, 1))
-)
-
-
 class TorusBundleGroup(GroupHandle):
-    """Split extension of Z^2 by Z: elements (x, y, n), conjugation by the matrix.
-
-    Its orbit group holds (v, n) -> (-v, n), as -I commutes with every power
-    of M.  When a signed permutation P of Z^2 has P M = M^-1 P, so that
-    P M^n = M^-n P for every n, (v, n) -> (Pv, -n) is an automorphism too:
-    it swaps t with t^-1 and permutes e1, e2 and their inverses.  The two
-    generate a group of order 4.  For M = [[a, b], [c, d]] of det 1 such a P
-    exists exactly when b = c (a rotation), b = -c (a swap) or a = d (a
-    reflection); a matrix with none, [[3, 1], [2, 1]] for one, keeps the
-    order-2 group.
-    """
+    """Split extension of Z^2 by Z: elements (x, y, n), conjugation by the matrix."""
 
     identity = (0, 0, 0)
 
@@ -621,10 +564,9 @@ class TorusBundleGroup(GroupHandle):
         super().__init__(spec)
         # M^n for a contiguous run of exponents n around 0
         self._powers = {0: MatrixZ2(1, 0, 0, 1), 1: spec.matrix, -1: spec.matrix.inverse()}
-        # the first P with P M = M^-1 P, or None
-        self._flip = next((p for p in _FLIPS if p.mul(spec.matrix) == self._powers[-1].mul(p)), None)
 
-    def _power(self, n: int) -> MatrixZ2:
+    def power(self, n: int) -> MatrixZ2:
+        """The monodromy's n-th power M^n, from the memo."""
         powers = self._powers
         if n not in powers:
             # extend the run from its end on n's side, one factor of M^(+-1) at a time
@@ -638,41 +580,13 @@ class TorusBundleGroup(GroupHandle):
     def mul(self, a, b):
         x1, y1, n1 = a
         x2, y2, n2 = b
-        p, q, r, s = self._power(n1)
+        p, q, r, s = self.power(n1)
         return (x1 + p * x2 + q * y2, y1 + r * x2 + s * y2, n1 + n2)
 
     def inv(self, a):
         x, y, n = a
-        p, q, r, s = self._power(-n)
+        p, q, r, s = self.power(-n)
         return (-p * x - q * y, -r * x - s * y, -n)
-
-    def orbit_rep(self, a):
-        # -I brings (x, y) to >= (0, 0) lexicographically; the flip P brings n
-        # to >= 0, and at n = 0 the lesser of the sign-normalised v and Pv wins
-        x, y, n = a
-        if n <= 0 and self._flip is not None:
-            p, q, r, s = self._flip
-            u, w = p * x + q * y, r * x + s * y
-            if n == 0:
-                # max(v, -v) is v sign-normalised
-                return min(max((x, y, 0), (-x, -y, 0)), max((u, w, 0), (-u, -w, 0)))
-            x, y, n = u, w, -n
-            a = (x, y, n)
-        if x < 0 or (x == 0 and y < 0):
-            return (-x, -y, n)
-        return a
-
-    def orbit_size(self, rep):
-        x, y, n = rep
-        if self._flip is None:
-            return 1 if x == y == 0 else 2
-        if x == y == 0:
-            return 2 if n else 1
-        if n:
-            return 4
-        # at n = 0 the orbit is +-v, +-Pv, and Pv = +-v only on an eigenvector of P
-        p, q, r, s = self._flip
-        return 2 if (p * x + q * y, r * x + s * y) in ((x, y), (-x, -y)) else 4
 
     def _letters(self):
         return [("e1", (1, 0, 0)), ("e2", (0, 1, 0)), ("t", (0, 0, 1))]

@@ -1,9 +1,11 @@
-"""Orbit maps and the orbit-reduced sphere kernel.
+"""Automorphisms and the per-family ball counters of `growth_table`.
 
-The automorphism lists in `oracles` are written from the definitions; these
-tests check that each family's `orbit_rep`/`orbit_size` agree with the
-brute-force orbits of those lists, and that `growth_table` counts the same
-balls one orbit at a time as the plain kernel and the naive oracle do.
+The automorphism lists in `oracles` are written from the definitions.  These
+tests check them, check that word length is constant on their orbits and
+that the two symmetries the counters fold in, (x, y, z) -> (-x, -y, z) on
+heisenberg and -I on a torus bundle's Z^2, are on them, and check that the counters of Z^n, heisenberg and torus bundles give
+the same balls as the plain BFS kernel and the naive oracle, under every
+budget, without forming a product.
 """
 
 import itertools
@@ -13,7 +15,7 @@ import sys
 
 import pytest
 
-from groupgrowth import GroupSpec, MatrixZ2, growth_table, make_generating_set, make_group
+from groupgrowth import GroupSpec, MatrixZ2, cayley, growth_table, make_generating_set, make_group
 
 import oracles
 
@@ -24,8 +26,9 @@ TRACE3 = tuple(
     if a * d - b * c == 1 and a + d == 3
 )
 
-# monodromies whose flip P (P M = M^-1 P) is a rotation, a swap and a
-# reflection; a det -1 matrix and one with det 1, which have no P
+# monodromies whose oracle list holds a map (v, n) -> (Pv, -n), with P a
+# rotation, a swap and a reflection; a det -1 matrix and one with det 1,
+# whose lists hold only +-I
 ROTATION = ((2, 1), (1, 1))
 SWAP = ((3, -1), (1, 0))
 REFLECTION = ((2, 3), (1, 2))
@@ -87,6 +90,9 @@ TIES = {
     **{name: BUNDLE_TIES for name in FAMILIES if name.startswith("bundle")},
 }
 
+# the radius to which each family's spheres are split into orbits
+ORBIT_RADIUS = {"Z^2": 8, "Z^3": 6, "Z^4": 4, "heisenberg": 7, **{name: 5 for name in FAMILIES if name.startswith("bundle")}}
+
 
 def shuffled_defaults(handle, seed=0):
     """The default letters in a seeded order, as a new generating set equal to them as a set."""
@@ -96,15 +102,13 @@ def shuffled_defaults(handle, seed=0):
 
 
 def plain_table(handle, gens, kmax, **kwargs):
-    # an instance attribute hides the family's orbit map from growth_table
-    handle.orbit_rep = None
-    try:
+    """growth_table with no family counter, so the BFS kernel runs."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cayley, "_BALL_COUNTERS", {})
         return growth_table(handle, gens, kmax, **kwargs)
-    finally:
-        del handle.orbit_rep
 
 
-# --- the maps -------------------------------------------------------------------
+# --- the oracle maps -------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -130,28 +134,54 @@ def test_oracle_lists_have_the_group_orders():
         assert len(oracles.orbit(oracles.torus_bundle_automorphisms(rows), (1, 2, 3))) == 2
 
 
-def assert_orbit_map(handle, maps, elements):
-    for a in elements:
-        orb = oracles.orbit(maps, a)
-        rep = handle.orbit_rep(a)
-        assert rep in orb, a
-        assert {handle.orbit_rep(b) for b in orb} == {rep}, a
-        assert handle.orbit_size(rep) == len(orb), a
+def word_lengths(handle, done):
+    """Word length on the default letters, by BFS, of every element of the
+    balls up to the first radius k where `done(k, lengths)` holds."""
+    lengths = {handle.identity: 0}
+    k = 0
+    for k, sphere in enumerate(cayley.spheres(handle, handle.default_generators()), 1):
+        if done(k - 1, lengths):
+            break
+        lengths.update(dict.fromkeys(sphere, k))
+    assert done(k - 1, lengths)
+    return lengths
+
+
+# word length is constant on the orbits of automorphisms that permute the
+# letters: that is what lets a counter fold a symmetry
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_rep_is_constant_on_orbits_and_size_is_orbit_length(family):
-    spec, maps, box = FAMILIES[family]
-    assert_orbit_map(make_group(spec), maps, box)
+    spec, maps, _ = FAMILIES[family]
+    handle = make_group(spec)
+    radius = ORBIT_RADIUS[family]
+    lengths = word_lengths(handle, lambda k, _: k == radius)
+    # sphere -> the least element of each orbit in it -> the orbit's length
+    reps = {k: {} for k in range(radius + 1)}
+    for a, k in lengths.items():
+        orb = oracles.orbit(maps, a)
+        assert {lengths.get(b) for b in orb} == {k}, a
+        reps[k][min(orb)] = len(orb)
+    # the counter's spheres are the BFS spheres, orbit by orbit
+    table = growth_table(handle, shuffled_defaults(handle, seed=radius), radius)
+    assert table.sigma == tuple(sum(sizes.values()) for sizes in reps.values())
 
 
 @pytest.mark.parametrize("family", TIES)
 def test_named_ties(family):
     spec, maps, _ = FAMILIES[family]
-    assert_orbit_map(make_group(spec), maps, TIES[family])
+    handle = make_group(spec)
+    orbits = {a: oracles.orbit(maps, a) for a in TIES[family]}
+    everything = set().union(*orbits.values())
+    lengths = word_lengths(handle, lambda k, lengths: k == 12 or everything <= lengths.keys())
+    assert everything <= lengths.keys()
+    for a, orb in orbits.items():
+        assert a in orb
+        assert {lengths[b] for b in orb} == {lengths[a]}, a
 
 
-# --- the kernel ------------------------------------------------------------------
+# --- the counters ------------------------------------------------------------------
 
 
 @pytest.mark.parametrize(
@@ -170,6 +200,7 @@ def test_named_ties(family):
     ids=lambda v: v.describe() if isinstance(v, GroupSpec) else str(v),
 )
 def test_orbit_gamma_matches_naive_bfs(spec, kmax):
+    # the default letters in any order reach the family's counter
     handle = make_group(spec)
     gens = shuffled_defaults(handle, seed=kmax)
     table = growth_table(handle, gens, kmax)
@@ -197,12 +228,12 @@ def test_element_caps_cut_at_the_plain_kernels_sphere(spec, kmax):
     for lo, hi in zip(full, full[1:]):
         caps |= {lo - 1, lo, lo + 1, (lo + hi) // 2, lo + (hi - lo) // 8, hi - 2}
     for cap in sorted(c for c in caps if c >= 1):
-        orbit = growth_table(handle, gens, kmax, max_elements=cap)
+        counted = growth_table(handle, gens, kmax, max_elements=cap)
         plain = plain_table(handle, gens, kmax, max_elements=cap)
-        assert (orbit.gamma, orbit.complete) == (plain.gamma, plain.complete), cap
+        assert (counted.gamma, counted.complete) == (plain.gamma, plain.complete), cap
         # the table holds exactly the spheres that fit under the cap
-        assert orbit.gamma == tuple(g for g in full if g <= cap), cap
-        assert orbit.complete == (full[-1] <= cap), cap
+        assert counted.gamma == tuple(g for g in full if g <= cap), cap
+        assert counted.complete == (full[-1] <= cap), cap
 
 
 @pytest.mark.parametrize(
@@ -216,20 +247,108 @@ def test_element_caps_cut_at_the_plain_kernels_sphere(spec, kmax):
     ],
     ids=lambda v: v.describe() if isinstance(v, GroupSpec) else None,
 )
-def test_other_generating_sets_run_the_plain_kernel(spec, letters, kmax):
+def test_other_generating_sets_run_the_plain_kernel(spec, letters, kmax, monkeypatch):
     handle = make_group(spec)
     gens = make_generating_set(handle, letters)
 
-    def no_orbits(a):
-        raise AssertionError("orbit map used on a non-default generating set")
+    def no_counter(handle):
+        raise AssertionError("family counter used on a non-default generating set")
 
-    handle.orbit_rep = no_orbits
+    monkeypatch.setitem(cayley._BALL_COUNTERS, spec.family, no_counter)
     table = growth_table(handle, gens, kmax)
     assert table.gamma == oracles.naive_ball_sizes(handle, gens.elements, kmax)
 
 
+def test_counter_symmetries_are_on_the_oracle_lists():
+    points = list(itertools.product(range(-3, 4), range(-3, 4), range(-2, 3)))
+
+    def on_list(maps, f):
+        return any(all(g(p) == f(p) for p in points) for g in maps)
+
+    # heisenberg's counter keeps half the columns, bundles keep one of v and -v
+    assert on_list(oracles.heisenberg_automorphisms(), lambda p: (-p[0], -p[1], p[2]))
+    for rows in (*TRACE3, ROTATION, SWAP, REFLECTION, DET_MINUS_1, NO_FLIP):
+        assert on_list(oracles.torus_bundle_automorphisms(rows), lambda p: (-p[0], -p[1], p[2])), rows
+
+
+# monodromies of finite order and a parabolic one: bounded or linear powers
+ELLIPTIC = (((1, 0), (0, 1)), ((-1, 0), (0, -1)), ((0, -1), (1, 0)), ((0, -1), (1, 1)), ((1, 1), (0, 1)))
+
+
+@pytest.mark.parametrize(
+    "spec,kmax",
+    [
+        (GroupSpec.heisenberg(), 30),
+        *[(bundle(rows), 10) for rows in (*TRACE3, NO_FLIP, REFLECTION, DET_MINUS_1)],
+        *[(bundle(rows), 12) for rows in ELLIPTIC],
+        *[(GroupSpec.free_abelian(n), 15) for n in (1, 2, 3, 4)],
+    ],
+    ids=lambda v: v.describe() if isinstance(v, GroupSpec) else str(v),
+)
+def test_counter_gamma_matches_the_plain_kernel(spec, kmax):
+    handle = make_group(spec)
+    gens = shuffled_defaults(handle, seed=kmax)
+    table = growth_table(handle, gens, kmax)
+    assert table.complete
+    assert table.gamma == plain_table(handle, gens, kmax).gamma
+    if spec.family == "free_abelian":
+        assert table.gamma == tuple(oracles.zd_ball(spec.n, k) for k in range(kmax + 1))
+
+
+def test_free_abelian_closed_form_matches_the_lattice_count():
+    for n in range(1, 6):
+        handle = make_group(GroupSpec.free_abelian(n))
+        table = growth_table(handle, handle.default_generators(), 40)
+        assert table.gamma == tuple(oracles.zd_ball(n, k) for k in range(41)), n
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [GroupSpec.heisenberg(), bundle(ROTATION), GroupSpec.free_abelian(3)],
+    ids=lambda v: v.describe(),
+)
+def test_large_kmax_under_a_cap_matches_the_plain_kernel(spec):
+    # each counter sizes its encoding by the radius it reaches, not by kmax
+    handle = make_group(spec)
+    gens = handle.default_generators()
+    counted = growth_table(handle, gens, 1000, max_elements=100_000)
+    plain = plain_table(handle, gens, 1000, max_elements=100_000)
+    assert (counted.gamma, counted.complete) == (plain.gamma, plain.complete)
+    assert not counted.complete and counted.gamma[-1] <= 100_000
+
+
+@pytest.mark.parametrize(
+    "spec,kmax",
+    [
+        (GroupSpec.heisenberg(), 12),
+        (bundle(ROTATION), 8),
+        (bundle(DET_MINUS_1), 8),
+        (GroupSpec.free_abelian(3), 12),
+    ],
+    ids=lambda v: v.describe() if isinstance(v, GroupSpec) else str(v),
+)
+def test_counters_form_no_product(spec, kmax):
+    # a refactor that falls back to BFS still gets every gamma right; only this shows it
+    handle = make_group(spec)
+    gens = shuffled_defaults(handle, seed=kmax)
+    expected = plain_table(handle, gens, kmax).gamma
+
+    def no_mul(a, b):
+        raise AssertionError("the counter formed a product")
+
+    handle.mul = no_mul
+    assert growth_table(handle, gens, kmax).gamma == expected
+
+
+def test_heisenberg_columns_at_radius_60():
+    # gamma(60) as counted by a column prototype without the half-plane fold
+    handle = make_group(GroupSpec.heisenberg())
+    table = growth_table(handle, handle.default_generators(), 60)
+    assert table.gamma[60] == 5_544_471
+
+
 def product_counts(spec, kmax, seed):
-    """Products formed by the orbit kernel and by the plain kernel, on shuffled default letters."""
+    """Products formed by the counter path and by the plain kernel, on shuffled default letters."""
     handle = make_group(spec)
     gens = shuffled_defaults(handle, seed=seed)
     products = 0
@@ -241,34 +360,24 @@ def product_counts(spec, kmax, seed):
         return mul(a, b)
 
     handle.mul = counting_mul
-    orbit = growth_table(handle, gens, kmax)
-    orbit_products, products = products, 0
+    counted = growth_table(handle, gens, kmax)
+    counted_products, products = products, 0
     plain = plain_table(handle, gens, kmax)
-    assert orbit.gamma == plain.gamma
+    assert counted.gamma == plain.gamma
     # the plain kernel multiplies every element of the ball of radius kmax-1 by every letter
     assert products == len(gens.elements) * plain.gamma[kmax - 1]
-    return orbit_products, products
-
-
-# a refactor that silently falls back to whole spheres, or to a smaller orbit
-# group, still gets every gamma right; only the product count shows it
+    return counted_products, products
 
 
 def test_heisenberg_orbit_path_forms_under_a_third_of_the_products():
-    orbit_products, plain_products = product_counts(GroupSpec.heisenberg(), 17, seed=17)
-    assert orbit_products < plain_products / 3
+    counted_products, plain_products = product_counts(GroupSpec.heisenberg(), 17, seed=17)
+    assert counted_products < plain_products / 3
 
 
 def test_bundle_orbit_path_forms_under_a_third_of_the_products():
-    # 10,944 of 43,662; the order-2 group {+-I} alone forms 21,882
-    orbit_products, plain_products = product_counts(bundle(ROTATION), 9, seed=9)
+    counted_products, plain_products = product_counts(bundle(ROTATION), 9, seed=9)
     assert plain_products == 43_662
-    assert orbit_products < plain_products / 3
-
-
-def test_bundle_without_a_flip_keeps_the_order_two_products():
-    orbit_products, _ = product_counts(bundle(NO_FLIP), 9, seed=9)
-    assert orbit_products == 48_342
+    assert counted_products < plain_products / 3
 
 
 def test_every_benchmark_monodromy_has_a_flip(monkeypatch):
@@ -279,4 +388,7 @@ def test_every_benchmark_monodromy_has_a_flip(monkeypatch):
     assert set(TRACE3_MATRICES) == set(TRACE3)
     for rows in TRACE3_MATRICES:
         assert len(oracles.torus_bundle_automorphisms(rows)) == 4, rows
-        assert make_group(bundle(rows)).orbit_size((1, 2, 3)) == 4, rows
+        # the counter folds -I only, and counts the same balls as BFS
+        handle = make_group(bundle(rows))
+        gens = handle.default_generators()
+        assert growth_table(handle, gens, 6).gamma == plain_table(handle, gens, 6).gamma, rows
