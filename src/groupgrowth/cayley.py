@@ -1,12 +1,13 @@
 """Exact Cayley-ball counts: breadth-first search, or a per-family counter.
 
 `growth_table` chooses its counting path in one place.  On the default
-generating set (equal as a set, in any order) of Z^n, heisenberg and torus
-bundles, a per-family counter yields the ball sizes and never forms a group
-element: Z^n in closed form, heisenberg by central columns, a torus bundle by
-t-layers of sign classes.  Any other generating set, and every other family,
-runs `spheres`, a frontier BFS.  Either way the element cap and the time
-budget are applied once, to the ball sizes the path yields.
+generating set (equal as a set, in any order) of free groups, surface groups,
+Z^n, heisenberg and torus bundles, a per-family counter yields the ball sizes
+and never forms a group element: free and surface groups from their rational
+sphere series, Z^n in closed form, heisenberg by central columns, a torus
+bundle by t-layers of sign classes.  Any other generating set, and every
+other family, runs `spheres`, a frontier BFS.  Either way the element cap
+and the time budget are applied once, to the ball sizes the path yields.
 
 BFS dedups spheres on element payloads, which every family keeps in canonical
 hashable form, so no product is encoded to bytes.  Because every generator
@@ -194,10 +195,44 @@ def _torus_bundle_balls(handle):
         prev, cur = cur, nxt
 
 
+def _rational_balls(num, den):
+    """gamma(1), gamma(2), ... of a sphere series num/den with den[0] = 1.
+
+    Coefficient k of num = den * S gives s_k = num_k - sum_{j>=1} den_j s_{k-j};
+    gamma is the running sum of the s_k.
+    """
+    tail = den[1:]
+    recent = [0] * len(tail)  # s_{k-1}, s_{k-2}, ...; s_j = 0 for j < 0
+    ball = 0
+    for k in itertools.count():
+        s = (num[k] if k < len(num) else 0) - sum(d * r for d, r in zip(tail, recent))
+        recent = [s, *recent[:-1]]
+        ball += s
+        if k:
+            yield ball
+
+
+def _free_balls(handle):
+    """gamma(1), gamma(2), ... of free(n) on its letters: S = (1+x)/(1-(2n-1)x)."""
+    return _rational_balls((1, 1), (1, 1 - 2 * handle.spec.n))
+
+
+def _surface_balls(handle):
+    """gamma(1), gamma(2), ... of surface(g) on a1, b1, ..., ag, bg: Cannon's
+    S = N/D with N = 1 + 2x + ... + 2x^(2g-1) + x^(2g) and
+    D = 1 + (2-4g)(x + ... + x^(2g-1)) + x^(2g) (Cannon, Geom. Dedicata 16,
+    1984; Floyd-Plotnick, Invent. Math. 88, 1987)."""
+    g = handle.spec.genus
+    inner = 2 * g - 1
+    return _rational_balls((1, *[2] * inner, 1), (1, *[2 - 4 * g] * inner, 1))
+
+
 # family -> ball counter for its default generating set
 _BALL_COUNTERS = {
+    "free": _free_balls,
     "free_abelian": _free_abelian_balls,
     "heisenberg": _heisenberg_balls,
+    "surface": _surface_balls,
     "torus_bundle": _torus_bundle_balls,
 }
 
@@ -215,8 +250,9 @@ def growth_table(
     Stops early with ``complete=False`` when a budget runs out: before the
     first ball larger than `max_elements`, or at the first radius reached
     after `max_seconds`.  The table is truncated at the last ball counted in
-    full.  A surface group whose canonicalization blows its closure budget
-    raises ClosureBudgetExceeded.
+    full.  ClosureBudgetExceeded arises only on BFS, from a surface group
+    whose canonicalization blows its closure budget: on a generating set
+    other than the default one, or inside a composite spec.
     """
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
@@ -355,7 +391,7 @@ def search_generating_sets(
         ball = _ball_if_generating(handle, gens, k, targets)
         if ball is None:
             continue
-        u_k = ball ** (1.0 / k)
+        u_k = root_bound(ball, k)
         results.append((gens, u_k))
         if best is None or u_k < best[1]:
             best = (gens, u_k)
@@ -368,6 +404,14 @@ def search_generating_sets(
     )
 
 
+def root_bound(ball: int, k: int) -> float:
+    """u_k = ball^(1/k); through logs only when the ball is too large for a float."""
+    try:
+        return ball ** (1.0 / k)
+    except OverflowError:
+        return math.exp(math.log(ball) / k)
+
+
 def table_csv_rows(table: GrowthTable) -> list[str]:
     """CSV lines `k,gamma,sigma,root_bound,ratio` (12 significant digits).
 
@@ -376,7 +420,7 @@ def table_csv_rows(table: GrowthTable) -> list[str]:
     """
     lines = ["k,gamma,sigma,root_bound,ratio"]
     for k in range(table.kmax + 1):
-        root = "" if k == 0 else "%.12g" % (table.gamma[k] ** (1.0 / k))
+        root = "" if k == 0 else "%.12g" % root_bound(table.gamma[k], k)
         ratio = ""
         if k >= 2 and table.sigma[k - 1] > 0:
             ratio = "%.12g" % (table.sigma[k] / table.sigma[k - 1])

@@ -356,8 +356,9 @@ class GroupHandle:
 
     A handle holds element arithmetic only.  How balls are counted is
     `cayley.growth_table`'s choice: BFS over `mul` by default, or, on the
-    default generating set of Z^n, heisenberg or a torus bundle, a counter
-    there that reads only the family's parameters and never calls `mul`.
+    default generating set of a free group, a surface group, Z^n, heisenberg
+    or a torus bundle, a counter there that reads only the family's
+    parameters and never calls `mul`.
     """
 
     identity = None

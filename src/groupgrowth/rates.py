@@ -12,7 +12,7 @@ import math
 import statistics
 from dataclasses import dataclass
 
-from .cayley import GrowthTable
+from .cayley import GrowthTable, root_bound
 from .errors import WindowTooSmall
 
 EXPONENTIAL_RATIO_THRESHOLD = 1.2
@@ -22,7 +22,7 @@ _VERDICT_POINTS = 5  # trailing ratios consulted for the verdict
 
 def root_bounds(table: GrowthTable) -> list[float]:
     """u_k = gamma(k)^(1/k) for k = 1..kmax; each bounds the rate from above."""
-    return [table.gamma[k] ** (1.0 / k) for k in range(1, table.kmax + 1)]
+    return [root_bound(table.gamma[k], k) for k in range(1, table.kmax + 1)]
 
 
 def ratio_estimates(table: GrowthTable) -> list[float]:
@@ -148,7 +148,7 @@ def estimate_rates(table: GrowthTable, window=None) -> RateEstimates:
         *exact,
         window=(lo, hi),
         loglog_slope=slope,
-        doubling_degree=math.log2(table.gamma[2 * k] / table.gamma[k]),
+        doubling_degree=math.log2(table.gamma[2 * k]) - math.log2(table.gamma[k]),
         verdict=verdict,
         degree=degree,
         extrapolated_rate=None

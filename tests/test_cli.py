@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import pytest
 
@@ -160,6 +161,38 @@ def test_verify_passes_torus_bundle(tb_spec, capsys):
     assert report["pass"] is True
     assert report["applicable"] is True
     assert report["bound"]["theorem"] == "osin_polycyclic"
+
+
+def test_growth_and_verify_past_the_float_range(tmp_path, capsys):
+    # surface(2) balls leave the float range at k=366; root bounds and fits stay finite
+    spec = tmp_path / "surface2.json"
+    spec.write_text(json.dumps({"family": "surface", "params": {"genus": 2}}))
+    out_csv = tmp_path / "table.csv"
+    code, report = run_json(["growth", "--spec", str(spec), "--kmax", "400", "--out", str(out_csv)], capsys)
+    assert code == 0
+    assert report["rates"]["extrapolated_rate"] == 6.97983577922
+    assert out_csv.read_text().splitlines()[-1].startswith(f"400,{report['gamma'][400]},")
+    code, report = run_json(["verify", "--spec", str(spec), "--kmax", "400"], capsys)
+    assert code == 0 and report["pass"] is True
+
+
+def test_growth_past_the_int_string_limit_exits_2(tmp_path, capsys):
+    # a ball with more decimal digits than Python prints (4300 by default) cannot
+    # be written; the call exits 2 with one error line, and the CLI leaves the
+    # limit as it is.  Lowered to its floor of 640 here, free(50) passes it near k=320.
+    spec = tmp_path / "free50.json"
+    spec.write_text(json.dumps({"family": "free", "params": {"n": 50}}))
+    out_csv = tmp_path / "table.csv"
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run(["growth", "--spec", str(spec), "--kmax", "330", "--out", str(out_csv)], capsys)
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 2 and out == "" and not out_csv.exists()
+    assert err.startswith("error: Exceeds the limit (640 digits) for integer string conversion")
+    assert err.count("\n") == 1
 
 
 def test_verify_vacuous_when_no_bound_applies(free2_spec, capsys):

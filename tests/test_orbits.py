@@ -3,8 +3,9 @@
 The automorphism lists in `oracles` are written from the definitions.  These
 tests check them, check that word length is constant on their orbits and
 that the two symmetries the counters fold in, (x, y, z) -> (-x, -y, z) on
-heisenberg and -I on a torus bundle's Z^2, are on them, and check that the counters of Z^n, heisenberg and torus bundles give
-the same balls as the plain BFS kernel and the naive oracle, under every
+heisenberg and -I on a torus bundle's Z^2, are on them, and check that the
+counters of free groups, surface groups, Z^n, heisenberg and torus bundles
+give the same balls as the plain BFS kernel and the naive oracle, under every
 budget, without forming a product.
 """
 
@@ -282,6 +283,13 @@ ELLIPTIC = (((1, 0), (0, 1)), ((-1, 0), (0, -1)), ((0, -1), (1, 0)), ((0, -1), (
         *[(bundle(rows), 10) for rows in (*TRACE3, NO_FLIP, REFLECTION, DET_MINUS_1)],
         *[(bundle(rows), 12) for rows in ELLIPTIC],
         *[(GroupSpec.free_abelian(n), 15) for n in (1, 2, 3, 4)],
+        (GroupSpec.surface(2), 6),
+        (GroupSpec.surface(3), 4),
+        (GroupSpec.surface(4), 3),
+        (GroupSpec.free(1), 15),
+        (GroupSpec.free(2), 9),
+        (GroupSpec.free(3), 7),
+        (GroupSpec.free(4), 6),
     ],
     ids=lambda v: v.describe() if isinstance(v, GroupSpec) else str(v),
 )
@@ -293,6 +301,12 @@ def test_counter_gamma_matches_the_plain_kernel(spec, kmax):
     assert table.gamma == plain_table(handle, gens, kmax).gamma
     if spec.family == "free_abelian":
         assert table.gamma == tuple(oracles.zd_ball(spec.n, k) for k in range(kmax + 1))
+    if spec.family == "free":
+        assert table.gamma == tuple(oracles.free_ball(spec.n, k) for k in range(kmax + 1))
+    if spec == GroupSpec.surface(2):
+        # past the reference table's k=5, so surface BFS stays checked where
+        # no benchmark runs it on the default letters
+        assert table.gamma[6] == 155_577
 
 
 def test_free_abelian_closed_form_matches_the_lattice_count():
@@ -303,18 +317,26 @@ def test_free_abelian_closed_form_matches_the_lattice_count():
 
 
 @pytest.mark.parametrize(
-    "spec",
-    [GroupSpec.heisenberg(), bundle(ROTATION), GroupSpec.free_abelian(3)],
-    ids=lambda v: v.describe(),
+    "spec,cap",
+    [
+        pytest.param(spec, cap, id=spec.describe())
+        for spec, cap in (
+            (GroupSpec.heisenberg(), 100_000),
+            (bundle(ROTATION), 100_000),
+            (GroupSpec.free_abelian(3), 100_000),
+            (GroupSpec.free(2), 100_000),
+            (GroupSpec.surface(2), 25_000),
+        )
+    ],
 )
-def test_large_kmax_under_a_cap_matches_the_plain_kernel(spec):
+def test_large_kmax_under_a_cap_matches_the_plain_kernel(spec, cap):
     # each counter sizes its encoding by the radius it reaches, not by kmax
     handle = make_group(spec)
     gens = handle.default_generators()
-    counted = growth_table(handle, gens, 1000, max_elements=100_000)
-    plain = plain_table(handle, gens, 1000, max_elements=100_000)
+    counted = growth_table(handle, gens, 1000, max_elements=cap)
+    plain = plain_table(handle, gens, 1000, max_elements=cap)
     assert (counted.gamma, counted.complete) == (plain.gamma, plain.complete)
-    assert not counted.complete and counted.gamma[-1] <= 100_000
+    assert not counted.complete and counted.gamma[-1] <= cap
 
 
 @pytest.mark.parametrize(
@@ -324,6 +346,9 @@ def test_large_kmax_under_a_cap_matches_the_plain_kernel(spec):
         (bundle(ROTATION), 8),
         (bundle(DET_MINUS_1), 8),
         (GroupSpec.free_abelian(3), 12),
+        (GroupSpec.free(2), 8),
+        (GroupSpec.surface(2), 5),
+        (GroupSpec.surface(3), 4),
     ],
     ids=lambda v: v.describe() if isinstance(v, GroupSpec) else str(v),
 )

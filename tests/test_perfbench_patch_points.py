@@ -23,7 +23,8 @@ def test_layer_trace_installs_and_removes_cleanly(monkeypatch):
 
     gg = types.SimpleNamespace(**{m.__name__.rsplit(".", 1)[1]: m for m in MODULES})
     before = [dict(vars(m)) for m in MODULES]
-    handle = make_group(GroupSpec.surface(2))
+    # surface(2) alone is counted from its series; inside Z x surface(2) it runs BFS
+    handle = make_group(GroupSpec.direct_product_with_Z(GroupSpec.surface(2)))
     trace = LayerTrace(gg)
     trace.install([handle])
     try:

@@ -179,3 +179,18 @@ def test_estimate_rates_explicit_window(heisenberg_k40):
     d = estimate_rates(heisenberg_k40, window=(10, 40)).to_dict()
     assert d["verdict"] == "polynomial(4)"
     assert d["window"] == [10, 40]
+
+
+def test_rates_of_balls_past_the_float_range():
+    # gamma(1000) of surface(2) is about 7^1000, and gamma(1000)/gamma(500)
+    # too is past a float
+    table = small_table(GroupSpec.surface(2), 1000)
+    assert table.gamma[1000] > 10**400
+    est = estimate_rates(table)
+    assert est.root_bounds[4] == table.gamma[5] ** (1.0 / 5)
+    assert est.root_bounds[-1] == pytest.approx(math.exp(math.log(table.gamma[1000]) / 1000), rel=1e-15)
+    assert est.doubling_degree == pytest.approx(math.log2(table.gamma[1000]) - math.log2(table.gamma[500]))
+    # Cannon's denominator is palindromic, so the growth rate is its largest root
+    rate = est.extrapolated_rate
+    assert rate**4 - 6 * rate**3 - 6 * rate**2 - 6 * rate + 1 == pytest.approx(0, abs=1e-6)
+    assert est.to_dict()["extrapolated_rate"] == 6.97983577922
