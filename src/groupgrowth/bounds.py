@@ -9,12 +9,13 @@ Floats appear only in the final reported bound values.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import InvalidGenus
-from .groups import GroupSpec, MatrixZ2, group_order
+from .groups import GroupSpec, MatrixZ2, _is_int, group_order
 from .rates import round12
 
 SQRT2 = math.sqrt(2.0)
@@ -66,6 +67,16 @@ def squarefree_part(m: int) -> tuple[int, int]:
     return s, D
 
 
+def _by_sign(op):
+    """A rich comparison of QuadraticValue: `op` applied to the sign of self - other."""
+
+    def compare(self, other):
+        c = self._cmp(other)
+        return NotImplemented if c is NotImplemented else op(c, 0)
+
+    return compare
+
+
 class QuadraticValue:
     """Exact number of the form (p + q*sqrt(D))/2, integers p, q, D squarefree.
 
@@ -111,25 +122,11 @@ class QuadraticValue:
             return NotImplemented
         return _two_radical_sign(self.p - other.p, self.q, self.D, -other.q, other.D)
 
-    def __eq__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c == 0
-
-    def __lt__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c < 0
-
-    def __le__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c <= 0
-
-    def __gt__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c > 0
-
-    def __ge__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c >= 0
+    __eq__ = _by_sign(operator.eq)
+    __lt__ = _by_sign(operator.lt)
+    __le__ = _by_sign(operator.le)
+    __gt__ = _by_sign(operator.gt)
+    __ge__ = _by_sign(operator.ge)
 
     def __hash__(self):
         if self.q == 0:
@@ -289,7 +286,7 @@ def group_bound(spec: GroupSpec) -> BoundReport | None:
 def _validate_index(i, name: str):
     if i == math.inf:
         return math.inf
-    if isinstance(i, int) and not isinstance(i, bool) and i >= 1:
+    if _is_int(i) and i >= 1:
         return i
     raise ValueError(f"{name} must be an integer >= 1 or infinity, got {i!r}")
 
@@ -334,7 +331,7 @@ def make_bcg_table(entries) -> dict:
     table = {}
     for key, c in dict(entries).items():
         n, a = key
-        if not (isinstance(c, (int, float)) and c > 0):
+        if not ((_is_int(c) or isinstance(c, float)) and c > 0):
             raise ValueError(f"constant for ({n}, {a}) must be positive, got {c!r}")
         try:
             finite = math.isfinite(math.exp(c))

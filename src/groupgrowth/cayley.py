@@ -3,11 +3,12 @@
 `growth_table` chooses its counting path in one place.  On the default
 generating set (equal as a set, in any order) of free groups, surface groups,
 Z^n, heisenberg and torus bundles, a per-family counter yields the ball sizes
-and never forms a group element: free and surface groups from their rational
-sphere series, Z^n in closed form, heisenberg by central columns, a torus
-bundle by t-layers of sign classes.  Any other generating set, and every
-other family, runs `spheres`, a frontier BFS.  Either way the element cap
-and the time budget are applied once, to the ball sizes the path yields.
+and never forms a group element: free groups, Z^n and surface groups from
+their rational sphere series (Z^n's is ((1+x)/(1-x))^n), heisenberg by
+central columns (bit z + r(r+1)/2 of column (x, y) of B(r) marks (x, y, z)),
+a torus bundle by t-layers of sign classes.  Any other generating set, and
+every other family, runs `spheres`, a frontier BFS.  Either way the element
+cap and the time budget are applied once, to the ball sizes the path yields.
 
 BFS dedups spheres on element payloads, which every family keeps in canonical
 hashable form, so no product is encoded to bytes.  Because every generator
@@ -60,8 +61,12 @@ class GrowthTable:
         for k in range(1, len(gamma)):
             if gamma[k] < gamma[k - 1]:
                 raise ValueError(f"sigma({k}) negative")
+            # every element of sphere k is a neighbour of sphere k-1
+            if k >= 2 and gamma[k - 2] == gamma[k - 1] < gamma[k]:
+                raise ValueError(f"sigma({k}) positive after the empty sphere {k - 1}")
+        # the bound is symmetric in m and n, so pairs with m <= n suffice
         for m in range(1, len(gamma)):
-            for n in range(1, len(gamma) - m):
+            for n in range(m, len(gamma) - m):
                 if gamma[m + n] > gamma[m] * gamma[n]:
                     raise ValueError(
                         f"submultiplicativity violated at ({m},{n}): "
@@ -103,42 +108,26 @@ def spheres(handle: GroupHandle, gens: GeneratingSet, max_elements: int | None =
         prev, cur = cur, nxt
 
 
-def _free_abelian_balls(handle):
-    """gamma(1), gamma(2), ... of Z^n on the unit vectors: a point of l1 norm <= k
-    with i nonzero coordinates picks their places, C(n, i) ways, their signs,
-    2^i, and their absolute values, of sum <= k, C(k, i) ways."""
-    n = handle.n
-    for k in itertools.count(1):
-        yield sum(math.comb(n, i) * math.comb(k, i) << i for i in range(n + 1))
-
-
 def _heisenberg_balls(handle):
     """gamma(1), gamma(2), ... of heisenberg on x and y, by central columns.
 
     Column (x, y) of a ball is the set of z with (x, y, z) in it.  As
     (x, y, z)x^+-1 = (x+-1, y, z) and (x, y, z)y^+-1 = (x, y+-1, z+-x), column
-    (x, y) of B(k+1) is the union of columns (x, y), (x-1, y) and (x+1, y) of
-    B(k), column (x, y-1) shifted by x and column (x, y+1) shifted by -x.  A
-    column is an int with bit z + off set for each of its z: the union is
-    exact.  A letter moves z by |x| <= k on B(k), so |z| <= k(k+1)/2 on
-    B(k+1), and off grows past that with the radius: no right shift drops a
-    bit.  (x, y, z) -> (-x, -y, z) is an automorphism that permutes the
-    letters, so only columns with x > 0, or x = 0 and y >= 0, are kept."""
-    off = 0
+    (x, y) of B(r) is the union of columns (x, y), (x-1, y) and (x+1, y) of
+    B(r-1), column (x, y-1) shifted by x and column (x, y+1) shifted by -x.
+    A column of B(r) is an int with bit z + r(r+1)/2 set for each of its z:
+    the union is exact, and as the offset grows by r from B(r-1) to B(r),
+    every term is shifted left, by r, r+x or r-x >= 0.  (x, y, z) ->
+    (-x, -y, z) is an automorphism that permutes the letters, so only
+    columns with x > 0, or x = 0 and y >= 0, are kept."""
     cols = {(0, 0): 1}
-    for k in itertools.count():
-        need = k * (k + 1) // 2
-        if need > off:
-            grow = 2 * need - off
-            cols = {c: mask << grow for c, mask in cols.items()}
-            off += grow
+    for r in itertools.count(1):
         whole = {(-x, -y): mask for (x, y), mask in cols.items()}
         whole.update(cols)
         get = whole.get
-        r = k + 1
         cols = {
-            (x, y): get((x, y), 0) | get((x - 1, y), 0) | get((x + 1, y), 0)
-            | get((x, y - 1), 0) << x | get((x, y + 1), 0) >> x
+            (x, y): (get((x, y), 0) | get((x - 1, y), 0) | get((x + 1, y), 0)) << r
+            | get((x, y - 1), 0) << (r + x) | get((x, y + 1), 0) << (r - x)
             for x in range(r + 1)
             for y in range(x - r if x else 0, r - x + 1)
         }
@@ -195,12 +184,32 @@ def _torus_bundle_balls(handle):
         prev, cur = cur, nxt
 
 
-def _rational_balls(num, den):
-    """gamma(1), gamma(2), ... of a sphere series num/den with den[0] = 1.
+def _sphere_series(spec: GroupSpec):
+    """(num, den), the coefficient tuples of the sphere series num/den of
+    free(n), Z^n or surface(g) on its default letters.
+
+    free(n): (1+x)/(1-(2n-1)x).  Z^n: ((1+x)/(1-x))^n.  surface(g): Cannon's
+    N/D with N = 1 + 2x + ... + 2x^(2g-1) + x^(2g) and
+    D = 1 + (2-4g)(x + ... + x^(2g-1)) + x^(2g) (Cannon, Geom. Dedicata 16,
+    1984; Floyd-Plotnick, Invent. Math. 88, 1987).
+    """
+    if spec.family == "free":
+        return (1, 1), (1, 1 - 2 * spec.n)
+    if spec.family == "free_abelian":
+        binomials = [math.comb(spec.n, i) for i in range(spec.n + 1)]
+        return tuple(binomials), tuple(-c if i % 2 else c for i, c in enumerate(binomials))
+    inner = 2 * spec.genus - 1
+    return (1, *[2] * inner, 1), (1, *[2 - 4 * spec.genus] * inner, 1)
+
+
+def _rational_balls(handle):
+    """gamma(1), gamma(2), ... from the sphere series num/den of the handle's
+    family, with den[0] = 1.
 
     Coefficient k of num = den * S gives s_k = num_k - sum_{j>=1} den_j s_{k-j};
     gamma is the running sum of the s_k.
     """
+    num, den = _sphere_series(handle.spec)
     tail = den[1:]
     recent = [0] * len(tail)  # s_{k-1}, s_{k-2}, ...; s_j = 0 for j < 0
     ball = 0
@@ -212,27 +221,12 @@ def _rational_balls(num, den):
             yield ball
 
 
-def _free_balls(handle):
-    """gamma(1), gamma(2), ... of free(n) on its letters: S = (1+x)/(1-(2n-1)x)."""
-    return _rational_balls((1, 1), (1, 1 - 2 * handle.spec.n))
-
-
-def _surface_balls(handle):
-    """gamma(1), gamma(2), ... of surface(g) on a1, b1, ..., ag, bg: Cannon's
-    S = N/D with N = 1 + 2x + ... + 2x^(2g-1) + x^(2g) and
-    D = 1 + (2-4g)(x + ... + x^(2g-1)) + x^(2g) (Cannon, Geom. Dedicata 16,
-    1984; Floyd-Plotnick, Invent. Math. 88, 1987)."""
-    g = handle.spec.genus
-    inner = 2 * g - 1
-    return _rational_balls((1, *[2] * inner, 1), (1, *[2 - 4 * g] * inner, 1))
-
-
 # family -> ball counter for its default generating set
 _BALL_COUNTERS = {
-    "free": _free_balls,
-    "free_abelian": _free_abelian_balls,
+    "free": _rational_balls,
+    "free_abelian": _rational_balls,
     "heisenberg": _heisenberg_balls,
-    "surface": _surface_balls,
+    "surface": _rational_balls,
     "torus_bundle": _torus_bundle_balls,
 }
 
@@ -369,13 +363,11 @@ def search_generating_sets(
     pool.sort(key=handle.canonical_key)
 
     targets = frozenset(handle.default_generators().elements)
-    tested = 0
     results = []
-    best = None
     seen_sets: set[frozenset] = set()
     complete = True
     for combo in itertools.combinations(pool, set_size):
-        if max_candidates is not None and tested >= max_candidates:
+        if max_candidates is not None and len(seen_sets) >= max_candidates:
             complete = False
             break
         if max_seconds is not None and time.monotonic() - t0 > max_seconds:
@@ -387,18 +379,17 @@ def search_generating_sets(
         if elements in seen_sets:
             continue
         seen_sets.add(elements)
-        tested += 1
         ball = _ball_if_generating(handle, gens, k, targets)
         if ball is None:
             continue
         u_k = root_bound(ball, k)
         results.append((gens, u_k))
-        if best is None or u_k < best[1]:
-            best = (gens, u_k)
+    # min keeps the first of equal u_k
+    best_set, best_root_bound = min(results, key=lambda pair: pair[1], default=(None, None))
     return SearchReport(
-        candidates_tested=tested,
-        best_set=None if best is None else best[0],
-        best_root_bound=None if best is None else best[1],
+        candidates_tested=len(seen_sets),
+        best_set=best_set,
+        best_root_bound=best_root_bound,
         per_candidate=tuple(results),
         complete=complete,
     )
@@ -411,18 +402,3 @@ def root_bound(ball: int, k: int) -> float:
     except OverflowError:
         return math.exp(math.log(ball) / k)
 
-
-def table_csv_rows(table: GrowthTable) -> list[str]:
-    """CSV lines `k,gamma,sigma,root_bound,ratio` (12 significant digits).
-
-    Row k carries u_k = gamma(k)^[1/k] (blank at k=0) and the sphere ratio
-    sigma(k)/sigma(k-1) (blank when undefined).
-    """
-    lines = ["k,gamma,sigma,root_bound,ratio"]
-    for k in range(table.kmax + 1):
-        root = "" if k == 0 else "%.12g" % root_bound(table.gamma[k], k)
-        ratio = ""
-        if k >= 2 and table.sigma[k - 1] > 0:
-            ratio = "%.12g" % (table.sigma[k] / table.sigma[k - 1])
-        lines.append(f"{k},{table.gamma[k]},{table.sigma[k]},{root},{ratio}")
-    return lines

@@ -26,11 +26,11 @@ from .bounds import (
     surface_bound,
     surface_genus,
 )
-from .cayley import growth_table, search_generating_sets, table_csv_rows
+from .cayley import growth_table, search_generating_sets
 from .errors import GroupGrowthError
 from .groups import GroupSpec, MatrixZ2, make_group
 from .manifold import ManifoldSpec, classify_growth, group_of_manifold, universal_constant
-from .rates import check_window, estimate_rates, root_bounds, round12
+from .rates import check_window, estimate_rates, root_bounds, round12, table_csv_rows
 
 VERIFY_MARGIN = 1e-9
 
@@ -122,24 +122,30 @@ def _gens_dict(gens) -> dict:
     }
 
 
-def _cmd_growth(args) -> int:
+def _default_table(args, window_text=None):
+    """--spec's spec, the window of `window_text` (checked before any enumeration)
+    and the growth table on the default letters to --kmax under the budget flags."""
     spec = _load_group_spec(args.spec)
     handle = make_group(spec)
-    gens = handle.default_generators()
-    # a window the requested table cannot hold is bad input, caught before any enumeration
     window = None
-    if args.window:
-        lo, hi = map(int, _fields(args.window, 2, "--window wants kmin,kmax"))
+    if window_text:
+        lo, hi = map(int, _fields(window_text, 2, "--window wants kmin,kmax"))
         window = check_window((lo, hi), args.kmax)
+    gens = handle.default_generators()
     table = growth_table(
         handle, gens, args.kmax, max_elements=args.max_elements, max_seconds=args.max_seconds
     )
+    return spec, window, table
+
+
+def _cmd_growth(args) -> int:
+    spec, window, table = _default_table(args, args.window)
     rates = estimate_rates(table, window=window)
     if args.out:
-        _write(args.out, "\n".join(table_csv_rows(table)) + "\n")
+        _write(args.out, "\n".join(table_csv_rows(table, rates)) + "\n")
     report = {
         "spec": spec.to_dict(),
-        "generators": _gens_dict(gens),
+        "generators": _gens_dict(table.gens),
         "kmax": table.kmax,
         "complete": table.complete,
         "gamma": list(table.gamma),
@@ -194,12 +200,7 @@ def _cmd_bound(args) -> int:
 def _cmd_verify(args) -> int:
     if args.kmax < 1:
         raise ValueError(f"--kmax must be >= 1 for verify, got {args.kmax}")
-    spec = _load_group_spec(args.spec)
-    handle = make_group(spec)
-    gens = handle.default_generators()
-    table = growth_table(
-        handle, gens, args.kmax, max_elements=args.max_elements, max_seconds=args.max_seconds
-    )
+    spec, _, table = _default_table(args)
     roots = root_bounds(table)
     if not roots:
         raise ValueError("the budget ran out before sphere 1; no root bound to verify")

@@ -53,24 +53,21 @@ def check_window(window, kmax) -> tuple[int, int]:
     return lo, hi
 
 
-def _verdict(table: GrowthTable, lo: int, hi: int, slope: float) -> tuple[str, int | None]:
+def _verdict(ratios, lo: int, hi: int, slope: float) -> tuple[str, int | None]:
     """Growth verdict and degree from the sphere ratios of the last few window points.
 
-    The verdict is exponential when those ratios all clear 1.2, polynomial
-    when they all stay under 1.1 (degree = rounded log-log slope), and
+    `ratios[k-2]` is sigma(k)/sigma(k-1), up to the first empty sphere.  The
+    verdict is exponential when those ratios all clear 1.2, polynomial when
+    they all stay under 1.1 (degree = rounded log-log slope), and
     inconclusive in between.
     """
-    ratios = []
-    for k in range(max(lo, hi - _VERDICT_POINTS + 1), hi + 1):
-        if table.sigma[k - 1] == 0:
-            # spheres died inside the window: growth stopped entirely
-            if table.gamma[hi] == table.gamma[lo]:
-                return "polynomial", 0
-            return "inconclusive", None
-        ratios.append(table.sigma[k] / table.sigma[k - 1])
-    if all(r >= EXPONENTIAL_RATIO_THRESHOLD for r in ratios):
+    if len(ratios) <= hi - 2:
+        # the first empty sphere, len(ratios)+1, is at most hi-1; at most lo+1, gamma is flat
+        return ("polynomial", 0) if len(ratios) <= lo else ("inconclusive", None)
+    last = ratios[max(lo, hi - _VERDICT_POINTS + 1) - 2 : hi - 1]
+    if all(r >= EXPONENTIAL_RATIO_THRESHOLD for r in last):
         return "exponential", None
-    if all(r <= POLYNOMIAL_RATIO_THRESHOLD for r in ratios):
+    if all(r <= POLYNOMIAL_RATIO_THRESHOLD for r in last):
         return "polynomial", round(slope)
     return "inconclusive", None
 
@@ -132,9 +129,10 @@ def estimate_rates(table: GrowthTable, window=None) -> RateEstimates:
     None on a polynomial verdict, where it means nothing.
     """
     roots = tuple(root_bounds(table))
+    ratios = tuple(ratio_estimates(table))
     # every gamma(k) >= 1, so inf_root >= 1 and its log (the entropy) is >= 0
     inf_root = min(roots) if roots else 1.0
-    exact = (roots, tuple(ratio_estimates(table)), inf_root, math.log(inf_root))
+    exact = (roots, ratios, inf_root, math.log(inf_root))
     if window is None and table.kmax >= 5:
         window = (max(2, table.kmax // 2), table.kmax)
     if window is not None:
@@ -143,7 +141,7 @@ def estimate_rates(table: GrowthTable, window=None) -> RateEstimates:
         return RateEstimates(*exact)
     slope = _log_gamma_slope(table, lo, hi, math.log)
     k = min(hi, table.kmax // 2)
-    verdict, degree = _verdict(table, lo, hi, slope)
+    verdict, degree = _verdict(ratios, lo, hi, slope)
     return RateEstimates(
         *exact,
         window=(lo, hi),
@@ -155,3 +153,18 @@ def estimate_rates(table: GrowthTable, window=None) -> RateEstimates:
         if verdict == "polynomial"
         else math.exp(_log_gamma_slope(table, lo, hi, float)),
     )
+
+
+def table_csv_rows(table: GrowthTable, rates: RateEstimates) -> list[str]:
+    """CSV lines `k,gamma,sigma,root_bound,ratio` (12 significant digits).
+
+    Row k carries u_k (blank at k=0) and the sphere ratio sigma(k)/sigma(k-1)
+    (blank past the end of `rates.ratios`), both read from `rates`, the
+    table's `estimate_rates` over any window.
+    """
+    lines = ["k,gamma,sigma,root_bound,ratio"]
+    for k in range(table.kmax + 1):
+        root = "%.12g" % rates.root_bounds[k - 1] if k else ""
+        ratio = "%.12g" % rates.ratios[k - 2] if 2 <= k < len(rates.ratios) + 2 else ""
+        lines.append(f"{k},{table.gamma[k]},{table.sigma[k]},{root},{ratio}")
+    return lines

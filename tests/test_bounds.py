@@ -261,8 +261,10 @@ def test_bcg_table_and_bound():
     assert r.value == pytest.approx(math.exp(0.05))
     missing = bcg_bound(5, 1, table)
     assert not missing.hypotheses_ok and missing.value is None
-    with pytest.raises(ValueError):
-        make_bcg_table({(3, 1): -0.5})
+    # a bool is an int, but as in `cli._load_bcg` it is no constant
+    for c in (-0.5, True, False):
+        with pytest.raises(ValueError, match=r"constant for \(3, 1\) must be positive"):
+            make_bcg_table({(3, 1): c})
 
 
 @pytest.mark.parametrize("c", [800, 709.8, 10**400, math.inf, math.nan], ids=str)

@@ -14,8 +14,9 @@ from groupgrowth import (
     make_group,
     search_generating_sets,
 )
-from groupgrowth import cayley, groups
-from groupgrowth.cayley import GrowthTable, table_csv_rows
+from groupgrowth import cayley, estimate_rates, groups
+from groupgrowth.cayley import GrowthTable
+from groupgrowth.rates import table_csv_rows
 
 import oracles
 
@@ -112,6 +113,12 @@ def test_table_constructor_rejects_bad_data():
     with pytest.raises(ValueError, match="submultiplicativity"):
         # violates gamma(2) <= gamma(1)^2
         GrowthTable(spec=handle.spec, gens=gens, gamma=(1, 3, 10), complete=True)
+    with pytest.raises(ValueError, match=r"^submultiplicativity violated at \(1,2\): 28 > 3\*9$"):
+        # the first violating pair has m <= n: (1, 2), never (2, 1)
+        GrowthTable(spec=handle.spec, gens=gens, gamma=(1, 3, 9, 28), complete=True)
+    with pytest.raises(ValueError, match=r"^sigma\(3\) positive after the empty sphere 2$"):
+        # gamma(3) <= gamma(1)gamma(2), yet no sphere follows an empty one
+        GrowthTable(spec=handle.spec, gens=gens, gamma=(1, 3, 3, 5), complete=True)
 
 
 def test_table_derives_kmax_and_sigma_from_gamma():
@@ -307,6 +314,12 @@ def test_search_matches_generation_check_then_table(spec, radius, set_size, k):
             expected.append((gens, growth_table(handle, gens, k).gamma[k] ** (1.0 / k)))
     assert report.candidates_tested == len(seen)
     assert list(report.per_candidate) == expected
+    # the best set is the first of the least u_k
+    first_min = next((pair for pair in expected if pair[1] == min(u for _, u in expected)), (None, None))
+    assert (report.best_set, report.best_root_bound) == first_min
+    if (spec, radius, set_size, k) == (GroupSpec.free_abelian(2), 2, 2, 4):
+        # a tie: each candidate that generates is a basis of Z^2, so all share one u_k
+        assert [u for _, u in expected].count(first_min[1]) > 1
 
 
 def test_search_rejects_bad_set_size():
@@ -328,7 +341,7 @@ def test_search_candidate_cap():
 
 
 def test_csv_rows_layout(free2_k8):
-    rows = table_csv_rows(free2_k8)
+    rows = table_csv_rows(free2_k8, estimate_rates(free2_k8))
     assert rows[0] == "k,gamma,sigma,root_bound,ratio"
     assert rows[1] == "0,1,1,,"
     assert rows[2] == "1,5,4,5,"
@@ -341,7 +354,7 @@ def test_csv_rows_layout(free2_k8):
 
 def test_csv_ratio_blank_after_dead_sphere():
     _, table = default_table(GroupSpec.cyclic(5), 4)
-    rows = table_csv_rows(table)
+    rows = table_csv_rows(table, estimate_rates(table))
     assert table.sigma == (1, 2, 2, 0, 0)
     assert rows[4] == "3,5,0,1.70997594668,0"
     # ratio is undefined once the previous sphere is empty

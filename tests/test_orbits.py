@@ -309,7 +309,7 @@ def test_counter_gamma_matches_the_plain_kernel(spec, kmax):
         assert table.gamma[6] == 155_577
 
 
-def test_free_abelian_closed_form_matches_the_lattice_count():
+def test_free_abelian_series_counter_matches_zd_ball():
     for n in range(1, 6):
         handle = make_group(GroupSpec.free_abelian(n))
         table = growth_table(handle, handle.default_generators(), 40)
