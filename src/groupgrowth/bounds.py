@@ -421,10 +421,10 @@ def scan_hyperbolic(entry_bound: int) -> ScanReport:
         if not found:
             classes.append(ScanClassSummary(det, 0, None, None, False, None))
             continue
-        # least Lambda, and among equal ones the first row in scan order
-        min_lam, _, _, witness = min(found, key=lambda s: (s[0], s[3]))
-        min_osin = min(s[1] for s in found)
-        le2 = any(s[0] <= 2 for s in found)
+        # least Lambda, and among equal ones the first row in scan order; the
+        # Osin value increases with Lambda, so this record holds its minimum too
+        min_lam, min_osin, _, witness = min(found, key=lambda s: (s[0], s[3]))
+        le2 = min_lam <= 2
         note = None
         if det == 1 and not le2:
             note = "every det=+1 stretch factor exceeds 2"

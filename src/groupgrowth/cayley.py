@@ -2,13 +2,14 @@
 
 `growth_table` chooses its counting path in one place.  On the default
 generating set (equal as a set, in any order) of free groups, surface groups,
-Z^n, heisenberg and torus bundles, a per-family counter yields the ball sizes
+Z^n, heisenberg and torus bundles, a per-family counter yields the sphere sizes
 and never forms a group element: free groups, Z^n and surface groups from
 their rational sphere series (Z^n's is ((1+x)/(1-x))^n), heisenberg by
 central columns (bit z + r(r+1)/2 of column (x, y) of B(r) marks (x, y, z)),
 a torus bundle by t-layers of sign classes.  Any other generating set, and
-every other family, runs `spheres`, a frontier BFS.  Either way the element
-cap and the time budget are applied once, to the ball sizes the path yields.
+every other family, runs `spheres`, a frontier BFS.  Either way
+`growth_table` sums the sphere sizes into balls in one place, and applies the
+element cap and the time budget there.
 
 BFS dedups spheres on element payloads, which every family keeps in canonical
 hashable form, so no product is encoded to bytes.  Because every generator
@@ -108,8 +109,8 @@ def spheres(handle: GroupHandle, gens: GeneratingSet, max_elements: int | None =
         prev, cur = cur, nxt
 
 
-def _heisenberg_balls(handle):
-    """gamma(1), gamma(2), ... of heisenberg on x and y, by central columns.
+def _heisenberg_spheres(handle):
+    """sigma(1), sigma(2), ... of heisenberg on x and y, by central columns.
 
     Column (x, y) of a ball is the set of z with (x, y, z) in it.  As
     (x, y, z)x^+-1 = (x+-1, y, z) and (x, y, z)y^+-1 = (x, y+-1, z+-x), column
@@ -120,7 +121,7 @@ def _heisenberg_balls(handle):
     every term is shifted left, by r, r+x or r-x >= 0.  (x, y, z) ->
     (-x, -y, z) is an automorphism that permutes the letters, so only
     columns with x > 0, or x = 0 and y >= 0, are kept."""
-    cols = {(0, 0): 1}
+    cols, ball = {(0, 0): 1}, 1
     for r in itertools.count(1):
         whole = {(-x, -y): mask for (x, y), mask in cols.items()}
         whole.update(cols)
@@ -131,11 +132,12 @@ def _heisenberg_balls(handle):
             for x in range(r + 1)
             for y in range(x - r if x else 0, r - x + 1)
         }
-        yield 2 * sum(mask.bit_count() for mask in cols.values()) - cols[0, 0].bit_count()
+        last, ball = ball, 2 * sum(mask.bit_count() for mask in cols.values()) - cols[0, 0].bit_count()
+        yield ball - last
 
 
-def _torus_bundle_balls(handle):
-    """gamma(1), gamma(2), ... of a torus bundle on e1, e2 and t, by t-layers.
+def _torus_bundle_spheres(handle):
+    """sigma(1), sigma(2), ... of a torus bundle on e1, e2 and t, by t-layers.
 
     As (v, n)e_i^+-1 = (v +- M^n e_i, n) and (v, n)t^+-1 = (v, n+-1), layer n
     of S(k+1) is layer n of S(k) shifted by +-M^n e_i, plus layers n-1 and
@@ -154,7 +156,7 @@ def _torus_bundle_balls(handle):
         return 2 * K * max(max(map(abs, power(n))) for n in range(-K, K + 1)) + 1
 
     K, W = 4, width(4)
-    ball, prev, cur = 1, {}, {0: {0}}
+    prev, cur = {}, {0: {0}}
     for k in itertools.count():
         if k >= K:
             K, old, W = 2 * K, W, width(2 * K)
@@ -179,8 +181,7 @@ def _torus_bundle_balls(handle):
             new -= prev.get(n, set())
             if new:
                 nxt[n] = new
-        ball += sum(2 * len(layer) - (0 in layer) for layer in nxt.values())
-        yield ball
+        yield sum(2 * len(layer) - (0 in layer) for layer in nxt.values())
         prev, cur = cur, nxt
 
 
@@ -202,32 +203,29 @@ def _sphere_series(spec: GroupSpec):
     return (1, *[2] * inner, 1), (1, *[2 - 4 * spec.genus] * inner, 1)
 
 
-def _rational_balls(handle):
-    """gamma(1), gamma(2), ... from the sphere series num/den of the handle's
+def _rational_spheres(handle):
+    """sigma(1), sigma(2), ... from the sphere series num/den of the handle's
     family, with den[0] = 1.
 
-    Coefficient k of num = den * S gives s_k = num_k - sum_{j>=1} den_j s_{k-j};
-    gamma is the running sum of the s_k.
+    Coefficient k of num = den * S gives s_k = num_k - sum_{j>=1} den_j s_{k-j}.
     """
     num, den = _sphere_series(handle.spec)
     tail = den[1:]
     recent = [0] * len(tail)  # s_{k-1}, s_{k-2}, ...; s_j = 0 for j < 0
-    ball = 0
     for k in itertools.count():
         s = (num[k] if k < len(num) else 0) - sum(d * r for d, r in zip(tail, recent))
         recent = [s, *recent[:-1]]
-        ball += s
         if k:
-            yield ball
+            yield s
 
 
-# family -> ball counter for its default generating set
-_BALL_COUNTERS = {
-    "free": _rational_balls,
-    "free_abelian": _rational_balls,
-    "heisenberg": _heisenberg_balls,
-    "surface": _rational_balls,
-    "torus_bundle": _torus_bundle_balls,
+# family -> sphere counter for its default generating set
+_SPHERE_COUNTERS = {
+    "free": _rational_spheres,
+    "free_abelian": _rational_spheres,
+    "heisenberg": _heisenberg_spheres,
+    "surface": _rational_spheres,
+    "torus_bundle": _torus_bundle_spheres,
 }
 
 
@@ -238,7 +236,7 @@ def growth_table(
     max_elements: int | None = None,
     max_seconds: float | None = None,
 ) -> GrowthTable:
-    """Exact gamma from the family's ball counter when `gens` is its default
+    """Exact gamma from the family's sphere counter when `gens` is its default
     generating set as a set, else from frontier BFS.
 
     Stops early with ``complete=False`` when a budget runs out: before the
@@ -251,12 +249,11 @@ def growth_table(
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
     t0 = time.monotonic()
-    counter = _BALL_COUNTERS.get(handle.spec.family)
+    counter = _SPHERE_COUNTERS.get(handle.spec.family)
     if counter is not None and set(gens.elements) == set(handle.default_generators().elements):
-        balls = counter(handle)
+        sizes = counter(handle)
     else:
-        balls = itertools.accumulate(map(len, spheres(handle, gens, max_elements)), initial=1)
-        next(balls)  # gamma(0)
+        sizes = map(len, spheres(handle, gens, max_elements))
     cap = math.inf if max_elements is None else max_elements
     gamma = [1]
     complete = True
@@ -264,16 +261,16 @@ def growth_table(
         if max_seconds is not None and time.monotonic() - t0 > max_seconds:
             complete = False
             break
-        ball = next(balls, None)
-        # BFS stops inside the sphere that would pass the cap; a counter's ball is cut here
-        if ball is None or ball > cap:
+        size = next(sizes, None)
+        # BFS stops inside the sphere that would pass the cap; a counter's sphere is cut here
+        if size is None or gamma[-1] + size > cap:
             complete = False
             break
-        if ball == gamma[-1]:
+        if size == 0:
             # group exhausted: every later ball is this one
-            gamma.extend([ball] * (kmax + 1 - len(gamma)))
+            gamma.extend([gamma[-1]] * (kmax + 1 - len(gamma)))
             break
-        gamma.append(ball)
+        gamma.append(gamma[-1] + size)
     return GrowthTable(spec=handle.spec, gens=gens, gamma=tuple(gamma), complete=complete)
 
 

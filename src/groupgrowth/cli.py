@@ -65,17 +65,12 @@ def _load_bcg(path) -> dict:
         raise ValueError("BCG table file must be a JSON list of [n, a, c] triples")
     entries = {}
     for item in data:
-        # exact type checks: JSON true/false load as bool, a subclass of int
+        # exact type checks: JSON true/false load as bool, a subclass of int;
+        # make_bcg_table is the one rule for the constant c
         if not (
-            isinstance(item, list)
-            and len(item) == 3
-            and type(item[0]) is int
-            and type(item[1]) is int
-            and type(item[2]) in (int, float)
+            isinstance(item, list) and len(item) == 3 and type(item[0]) is int and type(item[1]) is int
         ):
-            raise ValueError(
-                f"BCG table entries must be [n, a, c] with integers n, a and a number c, got {item!r}"
-            )
+            raise ValueError(f"BCG table entries must be [n, a, c] with integers n and a, got {item!r}")
         n, a, c = item
         if (n, a) in entries:
             raise ValueError(f"BCG table has two entries for (n, a) = ({n}, {a})")
@@ -123,10 +118,9 @@ def _gens_dict(gens) -> dict:
 
 
 def _default_table(args, window_text=None):
-    """--spec's spec, the window of `window_text` (checked before any enumeration)
-    and the growth table on the default letters to --kmax under the budget flags."""
-    spec = _load_group_spec(args.spec)
-    handle = make_group(spec)
+    """The window of `window_text` (checked before any enumeration) and the
+    growth table of --spec on the default letters to --kmax under the budget flags."""
+    handle = make_group(_load_group_spec(args.spec))
     window = None
     if window_text:
         lo, hi = map(int, _fields(window_text, 2, "--window wants kmin,kmax"))
@@ -135,16 +129,16 @@ def _default_table(args, window_text=None):
     table = growth_table(
         handle, gens, args.kmax, max_elements=args.max_elements, max_seconds=args.max_seconds
     )
-    return spec, window, table
+    return window, table
 
 
 def _cmd_growth(args) -> int:
-    spec, window, table = _default_table(args, args.window)
+    window, table = _default_table(args, args.window)
     rates = estimate_rates(table, window=window)
     if args.out:
         _write(args.out, "\n".join(table_csv_rows(table, rates)) + "\n")
     report = {
-        "spec": spec.to_dict(),
+        "spec": table.spec.to_dict(),
         "generators": _gens_dict(table.gens),
         "kmax": table.kmax,
         "complete": table.complete,
@@ -200,12 +194,12 @@ def _cmd_bound(args) -> int:
 def _cmd_verify(args) -> int:
     if args.kmax < 1:
         raise ValueError(f"--kmax must be >= 1 for verify, got {args.kmax}")
-    spec, _, table = _default_table(args)
+    _, table = _default_table(args)
     roots = root_bounds(table)
     if not roots:
         raise ValueError("the budget ran out before sphere 1; no root bound to verify")
     min_root = min(roots)
-    bound = group_bound(spec)
+    bound = group_bound(table.spec)
     applicable = bound is not None and bound.hypotheses_ok
     ok = not applicable or min_root >= bound.value - VERIFY_MARGIN
     if applicable:
@@ -216,7 +210,7 @@ def _cmd_verify(args) -> int:
         failed = ", ".join(name for name, holds, _ in bound.hypothesis_detail if not holds)
         notes = f"{bound.theorem} does not apply, its hypotheses fail ({failed}); nothing to check"
     report = {
-        "spec": spec.to_dict(),
+        "spec": table.spec.to_dict(),
         "kmax": table.kmax,
         "complete": table.complete,
         "min_root_bound": round12(min_root),

@@ -357,8 +357,8 @@ class GroupHandle:
     A handle holds element arithmetic only.  How balls are counted is
     `cayley.growth_table`'s choice: BFS over `mul` by default, or, on the
     default generating set of a free group, a surface group, Z^n, heisenberg
-    or a torus bundle, a counter there that reads only the family's
-    parameters and never calls `mul`.
+    or a torus bundle, a counter there that yields the sphere sizes from the
+    family's parameters alone and never calls `mul`.
     """
 
     identity = None
@@ -534,7 +534,8 @@ class SurfaceGroup(FreeGroup):
     a window, and the half-swap closure is the word alone, since the swaps
     act on exactly those windows.  So ``_normal`` returns such a word as it
     is and runs ``surface_canonical(dehn_reduce(w))`` only when a window
-    matches.
+    matches.  A word shorter than 2g has no window; it is returned before the
+    table is read, so single letters never build it.
     """
 
     def __init__(self, spec: GroupSpec):
@@ -543,7 +544,10 @@ class SurfaceGroup(FreeGroup):
 
     def _normal(self, w):
         """Canonical form of the free-reduced word ``w``."""
-        half, halves = self.relator.half, self.relator._half_swap
+        half = self.relator.half
+        if len(w) < half:
+            return w
+        halves = self.relator._half_swap
         for i in range(len(w) - half + 1):
             if w[i : i + half] in halves:
                 return surface_canonical(dehn_reduce(w, self.relator), self.relator)

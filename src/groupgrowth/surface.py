@@ -5,7 +5,9 @@ The relator is the product of commutators [a1,b1]...[ag,bg], length 4g over
 inverse) have distinct halves, so one table, ``SurfaceRelator._half_swap``,
 maps each half v[:2g] to the inverse of the other half, invert(v[2g:]).  A
 half swap replaces such a window of a word by its table value, then
-free-reduces.
+free-reduces.  The table holds 8g words of 2g letters, so it is built on its
+first lookup: a word shorter than 2g has no window, and counting a surface
+group's default-set balls, which reads no word at all, never builds it.
 
 * A swap that cancels at neither seam keeps the length.  These swaps
   generate the closure whose least word is the canonical form.
@@ -31,6 +33,8 @@ word equals the closure of its Dehn reduction, word for word.
 
 from __future__ import annotations
 
+import functools
+
 from .errors import ClosureBudgetExceeded
 from .words import Word, free_reduce, invert, letter_rank
 
@@ -38,30 +42,25 @@ DEFAULT_CLOSURE_BUDGET = 20000
 
 
 class SurfaceRelator:
-    """The cyclic variants of one genus's relator and their half-swap table."""
+    """One genus's relator and the half-swap table of its cyclic variants."""
 
     def __init__(self, genus: int):
         if genus < 2:
             raise ValueError("surface relator needs genus >= 2")
-        self.genus = genus
-        relator = []
-        for i in range(genus):
-            a, b = 2 * i + 1, 2 * i + 2
-            relator += [a, b, -a, -b]
-        self.relator: Word = tuple(relator)
-        self.length = 4 * genus
+        self.relator: Word = tuple(x for a in range(1, 2 * genus, 2) for x in (a, a + 1, -a, -a - 1))
         self.half = 2 * genus
 
-        variants = []
-        for base in (self.relator, invert(self.relator)):
-            for shift in range(self.length):
-                variants.append(base[shift:] + base[:shift])
-        self.variants: tuple[Word, ...] = tuple(variants)
-        # exactly-half prefix -> inverse of the complementary half
-        self._half_swap: dict[Word, Word] = {
-            v[: self.half]: invert(v[self.half :]) for v in self.variants
+    @functools.cached_property
+    def _half_swap(self) -> dict[Word, Word]:
+        """Exactly-half prefix of each cyclic variant -> inverse of the complementary half."""
+        half = self.half
+        table = {
+            v[:half]: invert(v[half:])
+            for base in (self.relator, invert(self.relator))
+            for v in (base[shift:] + base[:shift] for shift in range(2 * half))
         }
-        assert len(self._half_swap) == 8 * genus
+        assert len(table) == 4 * half
+        return table
 
 
 def _half_swaps(w: Word, relator: SurfaceRelator):

@@ -145,7 +145,7 @@ def test_element_budget_truncates():
 
 def test_element_budget_stops_inside_the_overflowing_sphere(monkeypatch):
     # free(2)'s counter forms no product; this counts the products BFS forms
-    monkeypatch.setattr(cayley, "_BALL_COUNTERS", {})
+    monkeypatch.setattr(cayley, "_SPHERE_COUNTERS", {})
     handle = make_group(GroupSpec.free(2))
     gens = handle.default_generators()
     products = 0

@@ -454,6 +454,18 @@ def test_malformed_bcg_table_exits_two(tmp_path, capsys, entries):
         assert err.startswith("error: BCG table entries") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("text,shown", [("[[3, 1, true]]", "True"), ('[[3, 1, "x"]]', "'x'")])
+def test_bcg_constant_of_the_wrong_type_exits_two(tmp_path, capsys, text, shown):
+    # one type rule for c, the table builder's, on both paths that load a table
+    table = tmp_path / "bcg.json"
+    table.write_text(text)
+    for argv in (["universal", "--bcg", str(table)], ["bound", "--theorem", "bcg", "--bcg", str(table)]):
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: constant for (3, 1) must be positive, got {shown}\n"
+
+
 @pytest.mark.parametrize("text", ["[[3, 1, 800]]", "[[3, 1, Infinity]]", "[[3, 1, 1e400]]"])
 def test_bcg_constant_without_finite_exponential_exits_two(tmp_path, capsys, text):
     table = tmp_path / "bcg.json"

@@ -466,10 +466,10 @@ def test_surface_mul_matches_full_canonicalization(genus, radius):
 def _surface_words(genus):
     """Words mixing single letters with relator halves and their complements,
     so that both the shortcut and the full canonicalization get exercised."""
-    relator = SurfaceRelator(genus)
+    variants = oracles.surface_relator_variants(genus)
     n = 2 * genus
-    pieces = [(x,) for x in range(-n, n + 1) if x] + [v[: relator.half] for v in relator.variants]
-    pieces += [v[relator.half - 1 :] for v in relator.variants]
+    pieces = [(x,) for x in range(-n, n + 1) if x] + [v[:n] for v in variants]
+    pieces += [v[n - 1 :] for v in variants]
     return st.lists(st.sampled_from(pieces), max_size=6).map(lambda ps: sum(ps, ()))
 
 
@@ -489,3 +489,24 @@ def test_surface_mul_takes_the_full_path_on_a_relator_half():
     # b2 a2 b2' a2' is half of a cyclic variant of the relator; its canonical
     # form is the other half inverted, a1 b1 a1' b1'
     assert handle.mul((4, 3, -4), (-3,)) == (1, 2, -1, -2)
+
+
+def test_counting_a_surface_group_builds_no_half_swap_table():
+    # the table holds O(g^2) letters; a counted table reads no word
+    handle = make_group(GroupSpec.surface(400))
+    table = growth_table(handle, handle.default_generators(), 3)
+    assert "_half_swap" not in vars(handle.relator)
+    # below length 2g no relation shortens a word, so the ball is the free group's
+    assert table.gamma == tuple(oracles.free_ball(800, k) for k in range(4))
+
+
+def test_the_first_product_of_length_2g_builds_the_half_swap_table():
+    handle = make_group(GroupSpec.surface(2))
+    gens = handle.default_generators()
+    # sphere 3 holds words of length 3 < 2g only
+    for a in ball_elements(handle, gens, 2):
+        for s in gens.elements:
+            handle.mul(a, s)
+    assert "_half_swap" not in vars(handle.relator)
+    assert handle.mul((1, 2, -1), (-2,)) == (1, 2, -1, -2)
+    assert len(vars(handle.relator)["_half_swap"]) == 16

@@ -1,4 +1,4 @@
-"""Automorphisms and the per-family ball counters of `growth_table`.
+"""Automorphisms and the per-family sphere counters of `growth_table`.
 
 The automorphism lists in `oracles` are written from the definitions.  These
 tests check them, check that word length is constant on their orbits and
@@ -105,7 +105,7 @@ def shuffled_defaults(handle, seed=0):
 def plain_table(handle, gens, kmax, **kwargs):
     """growth_table with no family counter, so the BFS kernel runs."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cayley, "_BALL_COUNTERS", {})
+        mp.setattr(cayley, "_SPHERE_COUNTERS", {})
         return growth_table(handle, gens, kmax, **kwargs)
 
 
@@ -255,7 +255,7 @@ def test_other_generating_sets_run_the_plain_kernel(spec, letters, kmax, monkeyp
     def no_counter(handle):
         raise AssertionError("family counter used on a non-default generating set")
 
-    monkeypatch.setitem(cayley._BALL_COUNTERS, spec.family, no_counter)
+    monkeypatch.setitem(cayley._SPHERE_COUNTERS, spec.family, no_counter)
     table = growth_table(handle, gens, kmax)
     assert table.gamma == oracles.naive_ball_sizes(handle, gens.elements, kmax)
 
@@ -276,22 +276,24 @@ def test_counter_symmetries_are_on_the_oracle_lists():
 ELLIPTIC = (((1, 0), (0, 1)), ((-1, 0), (0, -1)), ((0, -1), (1, 0)), ((0, -1), (1, 1)), ((1, 1), (0, 1)))
 
 
+# counted specs of every counted family, each with a radius its plain kernel reaches quickly
+COUNTED = [
+    (GroupSpec.heisenberg(), 30),
+    *[(bundle(rows), 10) for rows in (*TRACE3, NO_FLIP, REFLECTION, DET_MINUS_1)],
+    *[(bundle(rows), 12) for rows in ELLIPTIC],
+    *[(GroupSpec.free_abelian(n), 15) for n in (1, 2, 3, 4)],
+    (GroupSpec.surface(2), 6),
+    (GroupSpec.surface(3), 4),
+    (GroupSpec.surface(4), 3),
+    (GroupSpec.free(1), 15),
+    (GroupSpec.free(2), 9),
+    (GroupSpec.free(3), 7),
+    (GroupSpec.free(4), 6),
+]
+
+
 @pytest.mark.parametrize(
-    "spec,kmax",
-    [
-        (GroupSpec.heisenberg(), 30),
-        *[(bundle(rows), 10) for rows in (*TRACE3, NO_FLIP, REFLECTION, DET_MINUS_1)],
-        *[(bundle(rows), 12) for rows in ELLIPTIC],
-        *[(GroupSpec.free_abelian(n), 15) for n in (1, 2, 3, 4)],
-        (GroupSpec.surface(2), 6),
-        (GroupSpec.surface(3), 4),
-        (GroupSpec.surface(4), 3),
-        (GroupSpec.free(1), 15),
-        (GroupSpec.free(2), 9),
-        (GroupSpec.free(3), 7),
-        (GroupSpec.free(4), 6),
-    ],
-    ids=lambda v: v.describe() if isinstance(v, GroupSpec) else str(v),
+    "spec,kmax", COUNTED, ids=lambda v: v.describe() if isinstance(v, GroupSpec) else str(v)
 )
 def test_counter_gamma_matches_the_plain_kernel(spec, kmax):
     handle = make_group(spec)
@@ -307,6 +309,28 @@ def test_counter_gamma_matches_the_plain_kernel(spec, kmax):
         # past the reference table's k=5, so surface BFS stays checked where
         # no benchmark runs it on the default letters
         assert table.gamma[6] == 155_577
+
+
+@pytest.mark.parametrize(
+    "kmax,budget,gamma,complete",
+    [
+        (0, {}, (1,), True),
+        (1, {}, None, True),
+        (3, {"max_seconds": 0}, (1,), False),
+        # every default set has at least two letters, so sphere 1 passes this cap
+        (3, {"max_elements": 2}, (1,), False),
+    ],
+    ids=["kmax 0", "kmax 1", "no time", "cap inside sphere 1"],
+)
+@pytest.mark.parametrize("spec", [spec for spec, _ in COUNTED], ids=GroupSpec.describe)
+def test_counter_edges_match_the_plain_kernel(spec, kmax, budget, gamma, complete):
+    handle = make_group(spec)
+    gens = shuffled_defaults(handle)
+    counted = growth_table(handle, gens, kmax, **budget)
+    plain = plain_table(handle, gens, kmax, **budget)
+    assert (counted.gamma, counted.complete) == (plain.gamma, plain.complete)
+    assert counted.gamma == (gamma or (1, 1 + len(gens.elements)))
+    assert counted.complete == complete
 
 
 def test_free_abelian_series_counter_matches_zd_ball():

@@ -14,6 +14,7 @@ from groupgrowth.words import free_reduce, invert
 import oracles
 
 R2 = SurfaceRelator(2)
+R2_VARIANTS = oracles.surface_relator_variants(2)
 
 letters4 = st.integers(min_value=-4, max_value=4).filter(lambda x: x != 0)
 words4 = st.lists(letters4, max_size=10).map(tuple)
@@ -21,23 +22,23 @@ words4 = st.lists(letters4, max_size=10).map(tuple)
 # overlapping Dehn matches, where the choice of match changes the output
 _pieces = [(x,) for x in range(-4, 5) if x] + [
     v[a:b]
-    for v in R2.variants
-    for a in range(R2.length)
-    for b in range(a + R2.half + 1, R2.length + 1)
+    for v in R2_VARIANTS
+    for a in range(len(v))
+    for b in range(a + R2.half + 1, len(v) + 1)
 ]
 piece_words4 = st.lists(st.sampled_from(_pieces), max_size=5).map(lambda ps: sum(ps, ()))
 
 
 def test_relator_layout():
     assert R2.relator == (1, 2, -1, -2, 3, 4, -3, -4)
-    assert R2.length == 8 and R2.half == 4
-    assert len(R2.variants) == 16
+    assert R2.half == 4
+    assert len(R2._half_swap) == 16
     # all length-2 prefixes of variants are distinct (small cancellation)
-    assert len({v[:2] for v in R2.variants}) == 16
+    assert len({v[:2] for v in R2_VARIANTS}) == 16
 
 
 def test_relator_reduces_to_identity():
-    for v in R2.variants:
+    for v in R2_VARIANTS:
         assert dehn_reduce(v, R2) == ()
 
 
@@ -75,8 +76,7 @@ def test_closure_budget_raises(monkeypatch):
 
 def test_genus_three_relator():
     r3 = SurfaceRelator(3)
-    assert r3.length == 12
-    assert len(r3.variants) == 24
+    assert len(r3._half_swap) == 24
     assert dehn_reduce(r3.relator * 2, r3) == ()
 
 
