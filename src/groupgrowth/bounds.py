@@ -46,14 +46,18 @@ def _two_radical_sign(a: int, b: int, D1: int, c: int, D2: int) -> int:
 
 
 def squarefree_part(m: int) -> tuple[int, int]:
-    """m = s^2 * D with D squarefree; returns (s, D). m must be >= 0."""
+    """m = s^2 * D with D squarefree; returns (s, D). m must be >= 0.
+
+    Trial division stops at the cube root of what is left of m, which then is
+    1, p, p*q or p^2 for primes p, q; one integer square root tells which.
+    """
     if m < 0:
         raise ValueError("cannot decompose a negative radicand")
     if m == 0:
         return 0, 0
     s, D = 1, 1
     f = 2
-    while f * f <= m:
+    while f * f * f <= m:
         if m % f == 0:
             exp = 0
             while m % f == 0:
@@ -63,8 +67,8 @@ def squarefree_part(m: int) -> tuple[int, int]:
             if exp % 2:
                 D *= f
         f += 1
-    D *= m
-    return s, D
+    r = math.isqrt(m)
+    return (s * r, D) if r * r == m else (s, D * m)
 
 
 def _by_sign(op):
@@ -80,8 +84,8 @@ def _by_sign(op):
 class QuadraticValue:
     """Exact number of the form (p + q*sqrt(D))/2, integers p, q, D squarefree.
 
-    Supports exact ordering against integers, Fractions, and other
-    QuadraticValues (any D) via sign analysis.
+    Supports exact ordering against other QuadraticValues (any D) and against
+    ints and Fractions, both read as n/d, via sign analysis.
     """
 
     __slots__ = ("p", "q", "D")
@@ -101,10 +105,6 @@ class QuadraticValue:
         self.D = D
 
     @classmethod
-    def from_int(cls, n: int) -> "QuadraticValue":
-        return cls(2 * n, 0, 0)
-
-    @classmethod
     def sqrt_int(cls, m: int) -> "QuadraticValue":
         return cls(0, 2, m)
 
@@ -112,13 +112,11 @@ class QuadraticValue:
         return (self.p + self.q * math.sqrt(self.D)) / 2.0
 
     def _cmp(self, other) -> int:
-        if isinstance(other, int):
-            other = QuadraticValue.from_int(other)
-        elif isinstance(other, Fraction):
+        if isinstance(other, (int, Fraction)):
             # compare (p+q sqrt(D))/2 with n/d: scale both by 2d
-            d, n = other.denominator, other.numerator
-            return _two_radical_sign(self.p * d - 2 * n, self.q * d, self.D, 0, 0)
-        elif not isinstance(other, QuadraticValue):
+            n, d = other.numerator, other.denominator
+            return _single_radical_sign(self.p * d - 2 * n, self.q * d, self.D)
+        if not isinstance(other, QuadraticValue):
             return NotImplemented
         return _two_radical_sign(self.p - other.p, self.q, self.D, -other.q, other.D)
 
@@ -139,15 +137,14 @@ class QuadraticValue:
     def exact_str(self) -> str:
         if self.q == 0:
             return str(self.p // 2) if self.p % 2 == 0 else f"{self.p}/2"
-        if self.p % 2 == 0 and self.q % 2 == 0:
-            rp, rq = self.p // 2, self.q // 2
-            root = f"sqrt({self.D})" if abs(rq) == 1 else f"{abs(rq)}*sqrt({self.D})"
-            if rp == 0:
-                return root if rq > 0 else f"-{root}"
-            return f"{rp}+{root}" if rq > 0 else f"{rp}-{root}"
-        root = f"sqrt({self.D})" if abs(self.q) == 1 else f"{abs(self.q)}*sqrt({self.D})"
-        sign = "+" if self.q > 0 else "-"
-        return f"({self.p}{sign}{root})/2"
+        p, q, halved = self.p, self.q, self.p % 2 == 0 and self.q % 2 == 0
+        if halved:
+            p, q = p // 2, q // 2
+        root = ("" if abs(q) == 1 else f"{abs(q)}*") + f"sqrt({self.D})"
+        sign = "+" if q > 0 else "-"
+        if halved:
+            return f"{p or ''}{sign}{root}".removeprefix("+")
+        return f"({p}{sign}{root})/2"
 
 
 def lambda_max(A: MatrixZ2) -> QuadraticValue:
@@ -191,6 +188,12 @@ class BoundReport:
         }
 
 
+def _gated(theorem: str, hyp: tuple, value: float, exact_form: str) -> BoundReport:
+    """The report of `theorem`, with `value` and `exact_form` only when every hypothesis holds."""
+    ok = all(holds for _, holds, _ in hyp)
+    return BoundReport(theorem, ok, hyp, value if ok else None, exact_form if ok else None)
+
+
 def osin_bound(A: MatrixZ2) -> BoundReport:
     """2^(log L / (log 2 + log L)) with L the exact dominant root modulus."""
     lam = lambda_max(A)
@@ -198,18 +201,14 @@ def osin_bound(A: MatrixZ2) -> BoundReport:
         ("abs_det_is_1", abs(A.det()) == 1, f"det = {A.det()}"),
         ("no_modulus_one_eigenvalue", lam > 1, f"Lambda = {lam.exact_str()}"),
     )
-    ok = all(h[1] for h in hyp)
-    if not ok:
+    # the value is computed only past the gate: log L fails at det 0, and
+    # float(L) overflows for a huge L with |det| != 1
+    if not all(holds for _, holds, _ in hyp):
         return BoundReport("osin_polycyclic", False, hyp, None)
     lf = float(lam)
     value = 2.0 ** (math.log(lf) / (math.log(2.0) + math.log(lf)))
-    return BoundReport(
-        "osin_polycyclic",
-        True,
-        hyp,
-        value,
-        exact_form=f"2^(log L/(log 2 + log L)), L = {lam.exact_str()}",
-    )
+    exact = f"2^(log L/(log 2 + log L)), L = {lam.exact_str()}"
+    return BoundReport("osin_polycyclic", True, hyp, value, exact_form=exact)
 
 
 def surface_bound(g: int, weak: bool = False) -> BoundReport:
@@ -243,22 +242,14 @@ def free_product_bound(orders) -> BoundReport:
     if len(orders) < 2:
         raise ValueError("a free product needs at least two factors")
     nontrivial = [o for o in orders if o > 1]
-    if len(nontrivial) < 2:
-        hyp = (("two_nontrivial_factors", False, f"orders {orders}"),)
-        return BoundReport("bucher_free_product", False, hyp, None)
+    hyp = (("two_nontrivial_factors", len(nontrivial) >= 2, f"orders {orders}"),)
     if len(nontrivial) == 2:
-        ok = nontrivial[0] >= 2 and nontrivial[1] >= 3
         note = f"|G1| = {nontrivial[0]}, |G2| = {nontrivial[1]}"
-    else:
-        ok = True
+        hyp += (("not_Z2_star_Z2", nontrivial[1] >= 3, note),)
+    elif len(nontrivial) > 2:
         note = f"{len(nontrivial)} nontrivial factors; grouped product is infinite"
-    hyp = (
-        ("two_nontrivial_factors", True, f"orders {orders}"),
-        ("not_Z2_star_Z2", ok, note),
-    )
-    if not ok:
-        return BoundReport("bucher_free_product", False, hyp, None)
-    return BoundReport("bucher_free_product", True, hyp, SQRT2, exact_form="sqrt(2)")
+        hyp += (("not_Z2_star_Z2", True, note),)
+    return _gated("bucher_free_product", hyp, SQRT2, "sqrt(2)")
 
 
 def surface_genus(spec: GroupSpec) -> int | None:
@@ -297,12 +288,9 @@ def amalgam_bound(index1, index2) -> BoundReport:
     i2 = _validate_index(index2, "index2")
     d1, d2 = i1 - 1, i2 - 1
     product = 0 if (d1 == 0 or d2 == 0) else d1 * d2  # inf * 0 reads as 0 here
-    ok = product >= 2
-    hyp = (("index_product_ge_2", ok, f"({_fmt_index(i1)}-1)({_fmt_index(i2)}-1) = {_fmt_index(product)}"),)
-    value = FOURTH_ROOT_2 if ok else None
-    return BoundReport(
-        "bucher_harpe_amalgam", ok, hyp, value, exact_form="2^(1/4)" if ok else None
-    )
+    note = f"({_fmt_index(i1)}-1)({_fmt_index(i2)}-1) = {_fmt_index(product)}"
+    hyp = (("index_product_ge_2", product >= 2, note),)
+    return _gated("bucher_harpe_amalgam", hyp, FOURTH_ROOT_2, "2^(1/4)")
 
 
 def hnn_bound(index_h, index_k) -> BoundReport:
@@ -310,12 +298,8 @@ def hnn_bound(index_h, index_k) -> BoundReport:
     ih = _validate_index(index_h, "index_h")
     ik = _validate_index(index_k, "index_k")
     total = ih + ik
-    ok = total >= 3
-    hyp = (("index_sum_ge_3", ok, f"{_fmt_index(ih)}+{_fmt_index(ik)} = {_fmt_index(total)}"),)
-    value = FOURTH_ROOT_2 if ok else None
-    return BoundReport(
-        "bucher_harpe_hnn", ok, hyp, value, exact_form="2^(1/4)" if ok else None
-    )
+    hyp = (("index_sum_ge_3", total >= 3, f"{_fmt_index(ih)}+{_fmt_index(ik)} = {_fmt_index(total)}"),)
+    return _gated("bucher_harpe_hnn", hyp, FOURTH_ROOT_2, "2^(1/4)")
 
 
 def _fmt_index(i) -> str:

@@ -13,9 +13,9 @@ element cap and the time budget there.
 
 BFS dedups spheres on element payloads, which every family keeps in canonical
 hashable form, so no product is encoded to bytes.  Because every generator
-has word length one, a product of a sphere-k element with a letter lands in
-sphere k-1, k, or k+1; keeping the two newest spheres in memory is therefore
-enough for exact counts.
+has word length one and its inverse is a letter too (`spheres` checks it), a
+product of a sphere-k element with a letter lands in sphere k-1, k, or k+1;
+keeping the two newest spheres in memory is therefore enough for exact counts.
 """
 
 from __future__ import annotations
@@ -82,7 +82,9 @@ def spheres(handle: GroupHandle, gens: GeneratingSet, max_elements: int | None =
     """Yield the spheres S(1), S(2), ... of the Cayley graph as sets of payloads.
 
     Payloads are canonical and hashable, so set membership is group equality.
-    Only the two newest spheres are kept.  The first empty sphere (the group
+    Only the two newest spheres are kept, which is exact only when every
+    letter's inverse is a letter too; a set that is not closed under inverses
+    raises ValueError before the first sphere.  The first empty sphere (the group
     is exhausted) is yielded last.  With `max_elements`, the generator stops
     inside the product loop as soon as the ball would outgrow the cap, without
     yielding the sphere that overflowed; a run that ends without an empty
@@ -90,6 +92,8 @@ def spheres(handle: GroupHandle, gens: GeneratingSet, max_elements: int | None =
     """
     mul = handle.mul
     letters = gens.elements
+    if not {handle.inv(s) for s in letters} <= set(letters):
+        raise ValueError("BFS needs a generating set closed under inverses")
     room = math.inf if max_elements is None else max_elements - 1
     prev: set = set()
     cur = {handle.identity}

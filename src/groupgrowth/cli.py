@@ -402,8 +402,11 @@ def main(argv=None) -> int:
     try:
         _check_flag_floors(args)
         return args.func(args)
-    except (GroupGrowthError, ValueError, KeyError, OSError) as exc:
+    except (GroupGrowthError, ValueError, KeyError, OSError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:  # its message is empty
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

@@ -319,6 +319,8 @@ def make_generating_set(handle: "GroupHandle", named, symmetrize: bool = True) -
 
     The identity is rejected; an empty set is allowed only when the group
     itself is trivial (order one), where no generator exists to list.
+    `symmetrize=False` is for a list that already holds every inverse: BFS
+    (`cayley.spheres`) rejects a set that is not closed under inverses.
     """
     base = []
     seen = set()

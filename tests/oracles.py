@@ -277,6 +277,40 @@ def naive_scan(bound):
     return rows, classes
 
 
+def squarefree_part(m):
+    """(s, D) with m = s^2 * D and D squarefree, by trial division up to sqrt(m)."""
+    if m == 0:
+        return 0, 0
+    s = D = 1
+    p = 2
+    while p * p <= m:
+        exp = 0
+        while m % p == 0:
+            m //= p
+            exp += 1
+        s *= p ** (exp // 2)
+        D *= p ** (exp % 2)
+        p += 1
+    return s, D * m
+
+
+def surd_str(p, q, D):
+    """(p + q*sqrt(D))/2 written out, for squarefree D > 1.
+
+    Halves are cancelled when p and q are both even; a coefficient of 1 is
+    dropped from the radical, and a zero integer part is left out once halved.
+    """
+    if q == 0:
+        return str(Fraction(p, 2))
+    halve = p % 2 == 0 and q % 2 == 0
+    a, b = (p // 2, q // 2) if halve else (p, q)
+    radical = f"sqrt({D})" if abs(b) == 1 else f"{abs(b)}*sqrt({D})"
+    if halve and a == 0:
+        return radical if b > 0 else "-" + radical
+    text = str(a) + ("+" if b > 0 else "-") + radical
+    return text if halve else "(" + text + ")/2"
+
+
 def least_squares_slope(xs, ys):
     """Slope of the least-squares line through the points, from the normal equations.
 

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import random
 from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
 
@@ -53,11 +54,29 @@ def test_squarefree_part():
     assert squarefree_part(360) == (6, 10)
 
 
+def test_squarefree_part_matches_trial_division_to_the_square_root():
+    rng = random.Random(11)
+    cases = list(range(3000)) + [rng.randrange(10**9) for _ in range(200)]
+    # p^2 * q, where the cube-root loop leaves p^2 or p^2 * q to the square-root test
+    cases += [p * p * q for p in (10007, 99991) for q in (1, 2, 3, 10009, 99989)]
+    # tr^2 - 4 = (tr - 2)(tr + 2) for det 1: twin and cousin prime products
+    cases += [p * (p + 2) for p in (10007, 99989)] + [p * (p + 4) for p in (10099, 100189)]
+    for m in cases:
+        assert squarefree_part(m) == oracles.squarefree_part(m), m
+
+
+def test_squarefree_part_of_a_large_cousin_prime_product():
+    # 1000000093 and 1000000097 are prime: the radicand of [[1000000094, 1], [1000000093, 1]]
+    m = 1000000093 * 1000000097
+    assert squarefree_part(m) == (1, m)
+    assert squarefree_part(m * 4) == (2, m)
+
+
 def test_normalization():
     v = QuadraticValue.sqrt_int(8)
     assert (v.p, v.q, v.D) == (0, 4, 2)  # sqrt(8) = 2*sqrt(2)
     assert QuadraticValue.sqrt_int(9) == 3
-    assert QuadraticValue.from_int(3) == Fraction(3)
+    assert QuadraticValue(6, 0, 0) == Fraction(3)
     # D = 1 folds into the rational part
     assert QuadraticValue(4, 2, 1) == 3
 
@@ -66,7 +85,14 @@ def test_exact_strings():
     assert lambda_max(mat(2, 1, 1, 1)).exact_str() == "(3+sqrt(5))/2"
     assert QuadraticValue(4, 2, 3).exact_str() == "2+sqrt(3)"
     assert QuadraticValue.sqrt_int(8).exact_str() == "2*sqrt(2)"
-    assert QuadraticValue.from_int(3).exact_str() == "3"
+    assert QuadraticValue(6, 0, 0).exact_str() == "3"
+
+
+def test_exact_str_matches_the_oracle_formatter():
+    for D in (2, 3, 5, 6, 7, 10, 15, 30):
+        for p in range(-13, 14):
+            for q in range(-7, 8):
+                assert QuadraticValue(p, q, D).exact_str() == oracles.surd_str(p, q, D), (p, q, D)
 
 
 def test_cross_radical_comparisons():
@@ -79,7 +105,7 @@ def test_cross_radical_comparisons():
 
 
 def test_hash_and_equality_with_rationals():
-    assert hash(QuadraticValue.from_int(3)) == hash(3)
+    assert hash(QuadraticValue(6, 0, 0)) == hash(3)
     assert hash(QuadraticValue.sqrt_int(9)) == hash(3)
     assert hash(QuadraticValue(5, 0, 7)) == hash(Fraction(5, 2))
     assert QuadraticValue(5, 0, 7) == Fraction(5, 2)
@@ -103,6 +129,17 @@ def test_comparisons_match_high_precision_decimal(p1, q1, d1, p2, q2, d2):
     assert (u < v) == (du < dv)
     assert (u == v) == (du == dv)
     assert (u > v) == (du > dv)
+
+
+@settings(max_examples=300)
+@given(small_ints, small_ints, small_d, small_ints, st.integers(min_value=1, max_value=9))
+def test_comparisons_with_rationals_match_high_precision_decimal(p, q, d, n, den):
+    # ints, Fractions and bools are all compared as n/d
+    u = QuadraticValue(p, q, d)
+    du = as_decimal(u)
+    for r in (Fraction(n, den), n, n % 2 == 0):
+        dr = Decimal(r.numerator) / Decimal(r.denominator)
+        assert (u < r, u <= r, u == r, u >= r, u > r) == (du < dr, du <= dr, du == dr, du >= dr, du > dr)
 
 
 @settings(max_examples=100)
@@ -243,6 +280,49 @@ def test_hnn_gate():
     assert hnn_bound(2, 1).value == FOURTH_ROOT_2
     assert hnn_bound(math.inf, 1).hypotheses_ok
     assert not hnn_bound(1, 1).hypotheses_ok
+
+
+def _fmt_index(i):
+    return "inf" if i == math.inf else str(i)
+
+
+def assert_gated(report, theorem, detail, value, exact_form):
+    """The gate rule: the value and its exact form are reported exactly when every hypothesis holds."""
+    ok = all(holds for _, holds, _ in detail)
+    assert report.theorem == theorem
+    assert (report.hypotheses_ok, report.hypothesis_detail, report.value, report.exact_form) == (
+        ok,
+        tuple(detail),
+        value if ok else None,
+        exact_form if ok else None,
+    )
+
+
+def test_free_product_gate_grid():
+    for n in (2, 3, 4):
+        for orders in itertools.product((1, 2, 3, 5, math.inf), repeat=n):
+            nontrivial = sorted(o for o in orders if o != 1)
+            detail = [("two_nontrivial_factors", len(nontrivial) >= 2, f"orders {sorted(orders)}")]
+            if len(nontrivial) == 2:
+                note = f"|G1| = {nontrivial[0]}, |G2| = {nontrivial[1]}"
+                detail.append(("not_Z2_star_Z2", nontrivial != [2, 2], note))
+            elif len(nontrivial) > 2:
+                note = f"{len(nontrivial)} nontrivial factors; grouped product is infinite"
+                detail.append(("not_Z2_star_Z2", True, note))
+            report = free_product_bound(orders)
+            assert report.hypotheses_ok == (len(nontrivial) >= 2 and nontrivial != [2, 2])
+            assert_gated(report, "bucher_free_product", detail, SQRT2, "sqrt(2)")
+
+
+def test_amalgam_and_hnn_gate_grid():
+    for i, j in itertools.product((1, 2, 3, math.inf), repeat=2):
+        product = 0 if 1 in (i, j) else (i - 1) * (j - 1)
+        note = f"({_fmt_index(i)}-1)({_fmt_index(j)}-1) = {_fmt_index(product)}"
+        detail = [("index_product_ge_2", product >= 2, note)]
+        assert_gated(amalgam_bound(i, j), "bucher_harpe_amalgam", detail, FOURTH_ROOT_2, "2^(1/4)")
+        note = f"{_fmt_index(i)}+{_fmt_index(j)} = {_fmt_index(i + j)}"
+        detail = [("index_sum_ge_3", i + j >= 3, note)]
+        assert_gated(hnn_bound(i, j), "bucher_harpe_hnn", detail, FOURTH_ROOT_2, "2^(1/4)")
 
 
 def test_index_validation():

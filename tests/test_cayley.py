@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -233,6 +234,47 @@ def test_ball_elements_order_and_counts(free2_k8):
 def test_ball_radius_zero():
     handle = make_group(GroupSpec.free(2))
     assert ball_elements(handle, handle.default_generators(), 0) == [()]
+
+
+# --- the BFS precondition -------------------------------------------------------------
+
+
+def test_bfs_rejects_letters_without_their_inverses():
+    # {a} in Z3 lacks a^-1; with only two spheres kept, BFS would count a, a^2,
+    # a^3 = 1, a, ... as new elements forever
+    handle = make_group(GroupSpec.cyclic(3))
+    gens = make_generating_set(handle, [("a", 1)], symmetrize=False)
+    calls = (
+        lambda: growth_table(handle, gens, 6),
+        lambda: ball_elements(handle, gens, 5),
+        lambda: is_generating(handle, gens, 5),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="closed under inverses"):
+            call()
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        GroupSpec.cyclic(3),
+        GroupSpec.klein_bottle(),
+        GroupSpec.free_product(GroupSpec.cyclic(2), GroupSpec.cyclic(3)),
+        GroupSpec.direct_product_with_Z(GroupSpec.free(2)),
+    ],
+    ids=["cyclic3", "klein", "z2_z3", "z_x_free2"],
+)
+def test_unsymmetrized_set_that_holds_every_inverse_counts(spec):
+    # none of these families has a sphere counter, so BFS runs on both sets
+    handle = make_group(spec)
+    default = handle.default_generators()
+    named = default.named()
+    random.Random(5).shuffle(named)
+    gens = make_generating_set(handle, named, symmetrize=False)
+    assert not gens.symmetrized and set(gens.elements) == set(default.elements)
+    assert growth_table(handle, gens, 6).gamma == growth_table(handle, default, 6).gamma
+    assert ball_elements(handle, gens, 4) == ball_elements(handle, default, 4)
+    assert is_generating(handle, gens, 4) is True
 
 
 # --- generating detection ---------------------------------------------------------

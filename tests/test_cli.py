@@ -413,6 +413,46 @@ def test_invalid_spec_exits_two(tmp_path, capsys, argv, spec, word):
     assert word in err
 
 
+@pytest.mark.parametrize("command", ["growth", "verify"])
+def test_too_deep_spec_exits_two(command, tmp_path, capsys):
+    # 500 nested products pass Python's recursion limit: in the JSON decoder on
+    # Python 3.10 and 3.11, while the spec is read on 3.12 and 3.13
+    text = '{"family": "free", "params": {"n": 1}}'
+    for _ in range(500):
+        text = '{"family": "direct_product_with_Z", "params": {"inner": ' + text + "}}"
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    code, out, err = run([command, "--spec", str(path), "--kmax", "1"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: maximum recursion depth exceeded") and err.count("\n") == 1
+
+
+def test_too_deeply_nested_json_exits_two(tmp_path, capsys):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    code, out, err = run(["growth", "--spec", str(path), "--kmax", "1"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: maximum recursion depth exceeded") and err.count("\n") == 1
+
+
+def test_out_of_memory_exits_two_with_a_named_error(free2_spec, capsys, monkeypatch):
+    # a MemoryError carries no message; the CLI names it
+    def make_group(spec):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "make_group", make_group)
+    code, out, err = run(["growth", "--spec", free2_spec, "--kmax", "3"], capsys)
+    assert (code, out, err) == (2, "", "error: out of memory\n")
+
+
+def test_osin_bound_on_large_entries(capsys):
+    # tr = 1000000095 and det = 1, so the radicand is 1000000093 * 1000000097, a
+    # product of two primes that trial division to its square root would not finish
+    code, report = run_json(["bound", "--theorem", "osin", "--matrix", "1000000094,1,1000000093,1"], capsys)
+    assert code == 0 and report["hypotheses_ok"] is True
+    assert report["exact_form"] == "2^(log L/(log 2 + log L)), L = (1000000095+sqrt(1000000190000009021))/2"
+
+
 def test_bad_matrix_string_exits_two(capsys):
     code, out, err = run(["bound", "--theorem", "osin", "--matrix", "2,1,1"], capsys)
     assert code == 2
