@@ -348,10 +348,17 @@ def search_generating_sets(
 
     Candidates are all size-`set_size` subsets of the ball of
     `candidate_radius` (identity excluded), ordered lexicographically by
-    canonical keys; sets equal after symmetrization are tested once.  Sets
-    whose generation check (BFS to radius max(k, 4)) does not certify True
-    are skipped, so the reported minimum is an upper bound over *verified*
-    generating sets only.
+    canonical keys; sets equal after symmetrization are tested once.  Only
+    sets known to generate are reported, so the minimum is an upper bound
+    over *verified* generating sets.
+
+    On free groups (Stallings folding), Z^n and heisenberg (minors),
+    `handle.generates` decides generation exactly.  A set it certifies
+    that holds as many elements as the default set is a basis, and takes
+    gamma(k) from the default set's counter, computed once per call; a
+    larger one is counted by BFS to radius k.  Every other family (surface
+    groups, torus bundles, composites) keeps the BFS check: a set passes
+    when BFS over it reaches every default letter by radius max(k, 4).
     """
     if set_size < 1:
         raise ValueError("set_size must be >= 1")
@@ -359,11 +366,15 @@ def search_generating_sets(
         raise ValueError("k must be >= 1")
     t0 = time.monotonic()
 
+    default = handle.default_generators()
     # the ball lists the identity first; it is no candidate
-    pool = ball_elements(handle, handle.default_generators(), candidate_radius)[1:]
+    pool = ball_elements(handle, default, candidate_radius)[1:]
     pool.sort(key=handle.canonical_key)
+    # a ball is closed under inverses
+    inverse = {el: handle.inv(el) for el in pool}
 
-    targets = frozenset(handle.default_generators().elements)
+    targets = frozenset(default.elements)
+    basis_ball = None
     results = []
     seen_sets: set[frozenset] = set()
     complete = True
@@ -374,17 +385,25 @@ def search_generating_sets(
         if max_seconds is not None and time.monotonic() - t0 > max_seconds:
             complete = False
             break
-        named = [(f"g{i + 1}", el) for i, el in enumerate(combo)]
-        gens = make_generating_set(handle, named, symmetrize=True)
-        elements = frozenset(gens.elements)
+        elements = frozenset(combo).union(map(inverse.__getitem__, combo))
         if elements in seen_sets:
             continue
         seen_sets.add(elements)
-        ball = _ball_if_generating(handle, gens, k, targets)
-        if ball is None:
+        verdict = handle.generates(combo)
+        if verdict is False:
             continue
-        u_k = root_bound(ball, k)
-        results.append((gens, u_k))
+        gens = make_generating_set(handle, [(f"g{i + 1}", el) for i, el in enumerate(combo)])
+        if verdict is None:
+            ball = _ball_if_generating(handle, gens, k, targets)
+            if ball is None:
+                continue
+        elif len(elements) == len(targets):
+            if basis_ball is None:
+                basis_ball = growth_table(handle, default, k).gamma[k]
+            ball = basis_ball
+        else:
+            ball = 1 + sum(map(len, itertools.islice(spheres(handle, gens), k)))
+        results.append((gens, root_bound(ball, k)))
     # min keeps the first of equal u_k
     best_set, best_root_bound = min(results, key=lambda pair: pair[1], default=(None, None))
     return SearchReport(

@@ -27,7 +27,7 @@ from .bounds import (
     surface_genus,
 )
 from .cayley import growth_table, search_generating_sets
-from .errors import GroupGrowthError
+from .errors import GroupGrowthError, shown
 from .groups import GroupSpec, MatrixZ2, make_group
 from .manifold import ManifoldSpec, classify_growth, group_of_manifold, universal_constant
 from .rates import check_window, estimate_rates, root_bounds, round12, table_csv_rows
@@ -39,7 +39,7 @@ def _fields(text: str, count: int, wants: str) -> list[str]:
     """The `count` comma-separated fields of a flag value; `wants` opens the error."""
     parts = text.split(",")
     if len(parts) != count:
-        raise ValueError(f"{wants}, got {text!r}")
+        raise ValueError(f"{wants}, got {shown(text)}")
     return parts
 
 
@@ -70,7 +70,7 @@ def _load_bcg(path) -> dict:
         if not (
             isinstance(item, list) and len(item) == 3 and type(item[0]) is int and type(item[1]) is int
         ):
-            raise ValueError(f"BCG table entries must be [n, a, c] with integers n and a, got {item!r}")
+            raise ValueError(f"BCG table entries must be [n, a, c] with integers n and a, got {shown(item)}")
         n, a, c = item
         if (n, a) in entries:
             raise ValueError(f"BCG table has two entries for (n, a) = ({n}, {a})")

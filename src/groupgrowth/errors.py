@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the helper that quotes input in their messages."""
 
 
 class GroupGrowthError(Exception):
@@ -24,3 +24,12 @@ class ClosureBudgetExceeded(GroupGrowthError):
 class WindowTooSmall(GroupGrowthError, ValueError):
     """A fit window holds fewer than the required number of points."""
 
+
+def shown(value) -> str:
+    """repr(value) for an error message, cut after 200 characters with '...'.
+
+    A spec can be arbitrarily large or deeply nested; the message echoes
+    only its start, so it stays one short line.
+    """
+    text = repr(value)
+    return text if len(text) <= 200 else text[:200] + "..."

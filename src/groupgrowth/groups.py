@@ -8,11 +8,12 @@ encodes to the empty key.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
-from .errors import InvalidSpec, InvalidGenus
+from .errors import InvalidSpec, InvalidGenus, shown
 from .surface import SurfaceRelator, dehn_reduce, surface_canonical
 from .words import ALPHABET, cancel_seam, free_reduce, format_word, invert
 
@@ -24,7 +25,7 @@ def _is_int(value) -> bool:
 def _as_tuple(value, what: str) -> tuple:
     """A list or tuple of child specs as a tuple, so the parent spec stays hashable."""
     if not isinstance(value, (list, tuple)):
-        raise InvalidSpec(f"{what} must be a list, got {value!r}")
+        raise InvalidSpec(f"{what} must be a list, got {shown(value)}")
     return tuple(value)
 
 
@@ -32,6 +33,35 @@ def _letter_names(n: int) -> list[str]:
     if n <= len(ALPHABET):
         return [ALPHABET[i] for i in range(n)]
     return [f"x{i + 1}" for i in range(n)]
+
+
+def _det(rows) -> int:
+    """Determinant of a square integer matrix, by Bareiss's fraction-free elimination."""
+    m = [list(r) for r in rows]
+    sign, prev = 1, 1
+    for i in range(len(m) - 1):
+        if m[i][i] == 0:
+            swap = next((j for j in range(i + 1, len(m)) if m[j][i]), None)
+            if swap is None:
+                return 0
+            m[i], m[swap], sign = m[swap], m[i], -sign
+        for j in range(i + 1, len(m)):
+            for c in range(i + 1, len(m)):
+                # exact: Sylvester's identity makes prev divide the difference
+                m[j][c] = (m[j][c] * m[i][i] - m[j][i] * m[i][c]) // prev
+        prev = m[i][i]
+    return sign * m[-1][-1]
+
+
+def _spans_lattice(vectors, n: int) -> bool:
+    """Whether integer `vectors` of length n span Z^n: the gcd of their n x n
+    minors is 1.  Fewer than n vectors have no minor and span no Z^n."""
+    g = 0
+    for minor in itertools.combinations(vectors, n):
+        g = math.gcd(g, _det(minor))
+        if g == 1:
+            return True
+    return False
 
 
 class MatrixZ2(NamedTuple):
@@ -51,10 +81,10 @@ class MatrixZ2(NamedTuple):
         try:
             (a, b), (c, d) = rows
         except (TypeError, ValueError):
-            raise InvalidSpec(f"expected a 2x2 integer matrix, got {rows!r}")
+            raise InvalidSpec(f"expected a 2x2 integer matrix, got {shown(rows)}")
         for e in (a, b, c, d):
             if not _is_int(e):
-                raise InvalidSpec(f"matrix entries must be integers, got {e!r}")
+                raise InvalidSpec(f"matrix entries must be integers, got {shown(e)}")
         return cls(a, b, c, d)
 
     def rows(self) -> list[list[int]]:
@@ -95,7 +125,7 @@ class SpecBase:
 
     _TAG: str  # the dataclass field that holds the tag
     _NOUN: str  # "group" or "manifold", for messages
-    _UNKNOWN: str  # message for an unknown tag, with one {!r} slot
+    _UNKNOWN: str  # message for an unknown tag, with one {} slot for its repr
     _SCHEMA: dict
     _CHILD: tuple = ()
     _CHILDREN: tuple = ()
@@ -105,7 +135,7 @@ class SpecBase:
     def _params_of(cls, tag) -> tuple:
         # a tag that cannot be hashed is as unknown as a misspelled one
         if not isinstance(tag, str) or tag not in cls._SCHEMA:
-            raise InvalidSpec(cls._UNKNOWN.format(tag))
+            raise InvalidSpec(cls._UNKNOWN.format(shown(tag)))
         return cls._SCHEMA[tag]
 
     def __post_init__(self):
@@ -113,7 +143,7 @@ class SpecBase:
         names = self._params_of(tag)
         if self.label is not None and not isinstance(self.label, str):
             # anything else would leave the spec unhashable
-            raise InvalidSpec(f"label must be a string, got {self.label!r}")
+            raise InvalidSpec(f"label must be a string, got {shown(self.label)}")
         for f in fields(self):
             value = getattr(self, f.name)
             if f.name in names:
@@ -130,9 +160,9 @@ class SpecBase:
                 object.__setattr__(self, name, value)
                 for child in value:
                     if not isinstance(child, type(self)):
-                        raise InvalidSpec(f"{tag} {name} must be {self._NOUN} specs, got {child!r}")
+                        raise InvalidSpec(f"{tag} {name} must be {self._NOUN} specs, got {shown(child)}")
             elif name in self._CHILD and not isinstance(value, type(self)):
-                raise InvalidSpec(f"{tag} {name} must be a {self._NOUN} spec, got {value!r}")
+                raise InvalidSpec(f"{tag} {name} must be a {self._NOUN} spec, got {shown(value)}")
 
     def to_dict(self) -> dict:
         tag = getattr(self, self._TAG)
@@ -146,19 +176,19 @@ class SpecBase:
     def from_dict(cls, data):
         if not isinstance(data, dict) or cls._TAG not in data:
             raise InvalidSpec(
-                f"{cls._NOUN} spec must be an object with a {cls._TAG!r} key, got {data!r}"
+                f"{cls._NOUN} spec must be an object with a {cls._TAG!r} key, got {shown(data)}"
             )
         tag = data[cls._TAG]
         params = data.get("params", {})
         if not isinstance(params, dict):
-            raise InvalidSpec(f"'params' must be an object, got {params!r}")
+            raise InvalidSpec(f"'params' must be an object, got {shown(params)}")
         names = cls._params_of(tag)
         for key in data:
             if key not in (cls._TAG, "params", "label"):
-                raise InvalidSpec(f"{cls._NOUN} spec takes no key {key!r}")
+                raise InvalidSpec(f"{cls._NOUN} spec takes no key {shown(key)}")
         for key in params:
             if key not in names:
-                raise InvalidSpec(f"{tag} takes no parameter {key!r}")
+                raise InvalidSpec(f"{tag} takes no parameter {shown(key)}")
         kwargs: dict = {}
         for name in names:
             if name not in params and name not in cls._DEFAULTS:
@@ -215,7 +245,7 @@ class GroupSpec(SpecBase):
 
     _TAG = "family"
     _NOUN = "group"
-    _UNKNOWN = "unknown family {!r}"
+    _UNKNOWN = "unknown family {}"
     _SCHEMA = GROUP_PARAMS
     _CHILD = ("inner",)
     _CHILDREN = ("factors",)
@@ -224,11 +254,11 @@ class GroupSpec(SpecBase):
         super().__post_init__()
         family = self.family
         if family == "cyclic" and (not _is_int(self.m) or self.m < 1):
-            raise InvalidSpec(f"cyclic order must be a positive integer, got {self.m!r}")
+            raise InvalidSpec(f"cyclic order must be a positive integer, got {shown(self.m)}")
         if family in ("free", "free_abelian") and (not _is_int(self.n) or self.n < 1):
-            raise InvalidSpec(f"{family} rank must be >= 1, got {self.n!r}")
+            raise InvalidSpec(f"{family} rank must be >= 1, got {shown(self.n)}")
         if family == "surface" and (not _is_int(self.genus) or self.genus < 2):
-            raise InvalidGenus(f"surface genus must be >= 2, got {self.genus!r}")
+            raise InvalidGenus(f"surface genus must be >= 2, got {shown(self.genus)}")
         if family == "torus_bundle" and abs(self.matrix.det()) != 1:
             raise InvalidSpec(f"torus_bundle matrix must have |det| = 1, got det {self.matrix.det()}")
         if family == "free_product":
@@ -356,7 +386,8 @@ class GroupHandle:
     it is used (TorusBundleGroup caches matrix powers).  The memo never
     changes a result.
 
-    A handle holds element arithmetic only.  How balls are counted is
+    A handle holds element arithmetic, and for some families an exact
+    generation test (`generates`).  How balls are counted is
     `cayley.growth_table`'s choice: BFS over `mul` by default, or, on the
     default generating set of a free group, a surface group, Z^n, heisenberg
     or a torus bundle, a counter there that yields the sphere sizes from the
@@ -391,6 +422,19 @@ class GroupHandle:
     def _letters(self):
         """Unsymmetrized default generators as (name, element) pairs."""
         raise NotImplementedError
+
+    def generates(self, elements) -> bool | None:
+        """Whether `elements` generate the group, decided exactly; None where
+        the family has no exact test.
+
+        A family that answers is relatively free and Hopfian on its default
+        letters (free, free abelian, free nilpotent of class 2), so a set
+        that generates and holds as many elements, inverses included, as the
+        default set is the image of the default letters under an
+        automorphism and has the default set's growth;
+        `cayley.search_generating_sets` relies on that.
+        """
+        return None
 
     def default_generators(self) -> GeneratingSet:
         return make_generating_set(self, self._letters(), symmetrize=True)
@@ -448,6 +492,55 @@ class FreeGroup(GroupHandle):
     def _letters(self):
         return [(name, (i + 1,)) for i, name in enumerate(self._names)]
 
+    def generates(self, elements) -> bool:
+        """Stallings folding: the words, as loops at vertex 0, fold to the
+        rose with one loop per letter exactly when they generate F_n
+        (Stallings, Invent. Math. 71, 1983).
+
+        ``edges[v]`` maps a letter to the far end of v's edge with that
+        label (its reverse is stored at the far end under the inverse
+        letter); vertices merge through union-find, so an end read from
+        ``edges`` is resolved with ``find``.
+        """
+        parent, edges = [0], [{}]
+
+        def find(v):
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]
+            return v
+
+        def merge(u, v):
+            pending = [(u, v)]
+            while pending:
+                u, v = map(find, pending.pop())
+                if u == v:
+                    continue
+                if len(edges[u]) < len(edges[v]):
+                    u, v = v, u
+                parent[v] = u
+                for x, w in edges[v].items():
+                    if x in edges[u]:
+                        pending.append((edges[u][x], w))
+                    else:
+                        edges[u][x] = w
+                edges[v] = None
+
+        for word in elements:
+            inner = range(len(parent), len(parent) + len(word) - 1)
+            parent.extend(inner)
+            edges.extend({} for _ in inner)
+            path = [0, *inner, 0]
+            for u, x, v in zip(path, word, path[1:]):
+                u, v = find(u), find(v)
+                if x in edges[u]:
+                    merge(edges[u][x], v)
+                elif -x in edges[v]:
+                    merge(edges[v][-x], u)
+                else:
+                    edges[u][x], edges[v][-x] = v, u
+        root = find(0)
+        return len(edges[root]) == 2 * len(self._names) and all(find(v) == root for v in range(len(parent)))
+
     def format_element(self, a) -> str:
         return format_word(a, self._names)
 
@@ -471,6 +564,9 @@ class FreeAbelianGroup(GroupHandle):
             e = tuple(1 if j == i else 0 for j in range(self.n))
             out.append((self._names[i], e))
         return out
+
+    def generates(self, elements) -> bool:
+        return _spans_lattice(elements, self.n)
 
     def format_element(self, a) -> str:
         parts = []
@@ -501,6 +597,11 @@ class HeisenbergGroup(GroupHandle):
     def _letters(self):
         # z = [x, y] is a product of the others, so two letters suffice
         return [("x", (1, 0, 0)), ("y", (0, 1, 0))]
+
+    def generates(self, elements) -> bool:
+        # a subgroup of a nilpotent group that maps onto the abelianization
+        # is the whole group, and (x, y, z) -> (x, y) is the abelianization
+        return _spans_lattice([(x, y) for x, y, _ in elements], 2)
 
 
 class KleinBottleGroup(GroupHandle):
@@ -554,6 +655,11 @@ class SurfaceGroup(FreeGroup):
             if w[i : i + half] in halves:
                 return surface_canonical(dehn_reduce(w, self.relator), self.relator)
         return w
+
+    def generates(self, elements) -> None:
+        # a surface group is not free, and a set of 2g elements that generates
+        # it need not be the image of the default letters under an automorphism
+        return None
 
     def mul(self, a, b):
         return self._normal(cancel_seam(a, b))

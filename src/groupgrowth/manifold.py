@@ -22,7 +22,7 @@ from .bounds import (
     lambda_max,
     osin_bound,  # unused here; the traced benchmark runs patch manifold.osin_bound
 )
-from .errors import InvalidSpec, NoEnumerableGroup
+from .errors import InvalidSpec, NoEnumerableGroup, shown
 from .groups import GroupSpec, MatrixZ2, SpecBase, _is_int
 from .rates import round12
 
@@ -57,7 +57,7 @@ class ManifoldSpec(SpecBase):
 
     _TAG = "kind"
     _NOUN = "manifold"
-    _UNKNOWN = "unknown manifold kind {!r}"
+    _UNKNOWN = "unknown manifold kind {}"
     _SCHEMA = MANIFOLD_PARAMS
     _CHILDREN = ("summands",)
     _DEFAULTS = {"s2xs1_count": 0}
@@ -67,7 +67,7 @@ class ManifoldSpec(SpecBase):
         kind = self.kind
         if kind == "connected_sum":
             if not _is_int(self.s2xs1_count) or self.s2xs1_count < 0:
-                raise InvalidSpec(f"s2xs1_count must be an integer >= 0, got {self.s2xs1_count!r}")
+                raise InvalidSpec(f"s2xs1_count must be an integer >= 0, got {shown(self.s2xs1_count)}")
             if len(self.summands) + self.s2xs1_count < 2:
                 raise InvalidSpec("a connected sum needs at least two pieces")
             if any(s.kind in _FINITE and s.m == 1 for s in self.summands):
@@ -81,9 +81,9 @@ class ManifoldSpec(SpecBase):
                 "(need |det| = 1 and no eigenvalue of modulus one)"
             )
         if kind == "seifert_product_circle_times_surface" and (not _is_int(self.g) or self.g < 2):
-            raise InvalidSpec(f"base surface genus must be >= 2, got {self.g!r}")
+            raise InvalidSpec(f"base surface genus must be >= 2, got {shown(self.g)}")
         if kind in _FINITE and (not _is_int(self.m) or self.m < 1):
-            raise InvalidSpec(f"quotient order must be >= 1, got {self.m!r}")
+            raise InvalidSpec(f"quotient order must be >= 1, got {shown(self.m)}")
 
     # -- constructors ------------------------------------------------------
 

@@ -388,3 +388,74 @@ def torus_bundle_automorphisms(rows):
 
 def orbit(maps, a):
     return {f(a) for f in maps}
+
+
+# --- generation tests -------------------------------------------------------------
+
+
+def folds_to_rose(words, n):
+    """Whether free-group words generate F_n, by folding their loops at vertex 0.
+
+    The graph is a set of labelled edges (u, x, v), x a positive letter.
+    Whenever two edges with one label leave or enter one vertex, their other
+    ends are merged by renaming one vertex everywhere; the words generate F_n
+    exactly when that stops at one vertex with a loop for every letter.
+    """
+    edges, fresh = set(), 1
+    for word in words:
+        path = [0]
+        for _ in word[1:]:
+            path.append(fresh)
+            fresh += 1
+        path.append(0)
+        for u, x, v in zip(path, word, path[1:]):
+            edges.add((u, x, v) if x > 0 else (v, -x, u))
+    while True:
+        pair = next(
+            (
+                (e[2], f[2]) if e[0] == f[0] else (e[0], f[0])
+                for e in edges
+                for f in edges
+                if e != f and e[1] == f[1] and (e[0] == f[0] or e[2] == f[2])
+            ),
+            None,
+        )
+        if pair is None:
+            break
+        keep, gone = sorted(pair)  # vertex 0 is kept
+        edges = {(keep if u == gone else u, x, keep if v == gone else v) for u, x, v in edges}
+    vertices = {u for u, _, _ in edges} | {v for _, _, v in edges}
+    return vertices == {0} and {x for _, x, _ in edges} == set(range(1, n + 1))
+
+
+def spans_lattice(vectors, n):
+    """Whether integer vectors span Z^n, by row reduction with Euclid's
+    algorithm: the span is Z^n exactly when every column ends with pivot +-1."""
+    rows = [list(v) for v in vectors]
+    for col in range(n):
+        live = [r for r in rows if r[col]]
+        while len(live) > 1:
+            live.sort(key=lambda r: abs(r[col]))
+            pivot = live[0]
+            for r in live[1:]:
+                q = r[col] // pivot[col]
+                for j in range(n):
+                    r[j] -= q * pivot[j]
+            live = [pivot] + [r for r in live[1:] if r[col]]
+        if not live or abs(live[0][col]) != 1:
+            return False
+        rows = [r for r in rows if r is not live[0]]
+    return True
+
+
+def generation_ref(spec, elements):
+    """Whether `elements` generate the group of `spec` by the tests above, or
+    None for a family without one."""
+    if spec.family == "free":
+        return folds_to_rose(elements, spec.n)
+    if spec.family == "free_abelian":
+        return spans_lattice(elements, spec.n)
+    if spec.family == "heisenberg":
+        # a subgroup of a nilpotent group that maps onto the abelianization is the whole group
+        return spans_lattice([(x, y) for x, y, _ in elements], 2)
+    return None

@@ -334,15 +334,25 @@ def test_search_free2_default_pairs():
         (GroupSpec.free_abelian(1), 3, 1, 2),
         # {2, 3} reaches 1 = 3 - 2 only at radius 2, past k
         (GroupSpec.free_abelian(1), 3, 2, 1),
+        (GroupSpec.free_abelian(3), 1, 3, 3),
         (GroupSpec.free(2), 1, 2, 3),
+        # sets of three: generating sets that are no basis, counted by BFS
+        (GroupSpec.free(2), 2, 3, 3),
+        (GroupSpec.free(3), 1, 3, 2),
         (GroupSpec.cyclic(6), 3, 1, 5),
         (GroupSpec.heisenberg(), 1, 2, 6),
+        (GroupSpec.heisenberg(), 2, 2, 4),
+        # no exact test: the BFS check to radius max(k, 4) as before
+        (GroupSpec.surface(2), 1, 2, 2),
+        (GroupSpec.torus_bundle(MatrixZ2(2, 1, 1, 1)), 1, 2, 3),
+        (GroupSpec.direct_product_with_Z(GroupSpec.surface(2)), 1, 2, 2),
     ],
     ids=lambda v: v.describe() if isinstance(v, GroupSpec) else str(v),
 )
 def test_search_matches_generation_check_then_table(spec, radius, set_size, k):
-    # one sphere pass per candidate gives what is_generating to max(k, 4)
-    # followed by growth_table to k gives
+    # the reference decides generation by the separately written exact test
+    # where the family has one and by is_generating to radius max(k, 4)
+    # elsewhere, then counts the ball by BFS on the set itself
     handle = make_group(spec)
     report = search_generating_sets(handle, candidate_radius=radius, set_size=set_size, k=k)
     pool = sorted(ball_elements(handle, handle.default_generators(), radius)[1:], key=handle.canonical_key)
@@ -352,8 +362,11 @@ def test_search_matches_generation_check_then_table(spec, radius, set_size, k):
         if frozenset(gens.elements) in seen:
             continue
         seen.add(frozenset(gens.elements))
-        if is_generating(handle, gens, max(k, 4)) is True:
-            expected.append((gens, growth_table(handle, gens, k).gamma[k] ** (1.0 / k)))
+        verdict = oracles.generation_ref(spec, combo)
+        if verdict is None:
+            verdict = is_generating(handle, gens, max(k, 4)) is True
+        if verdict:
+            expected.append((gens, oracles.naive_ball_sizes(handle, gens.elements, k)[k] ** (1.0 / k)))
     assert report.candidates_tested == len(seen)
     assert list(report.per_candidate) == expected
     # the best set is the first of the least u_k
@@ -362,6 +375,51 @@ def test_search_matches_generation_check_then_table(spec, radius, set_size, k):
     if (spec, radius, set_size, k) == (GroupSpec.free_abelian(2), 2, 2, 4):
         # a tie: each candidate that generates is a basis of Z^2, so all share one u_k
         assert [u for _, u in expected].count(first_min[1]) > 1
+
+
+@pytest.mark.parametrize(
+    "spec,radius,k,exact,bfs",
+    [(GroupSpec.free(2), 4, 4, 129, 89), (GroupSpec.heisenberg(), 3, 4, 93, 69)],
+    ids=["free2", "heisenberg"],
+)
+def test_exact_test_certifies_sets_the_bfs_check_missed(spec, radius, k, exact, bfs):
+    # BFS to radius max(k, 4) = 4 certified `bfs` of these pairs; each pair
+    # the exact test adds reaches the default letters at radius 5
+    handle = make_group(spec)
+    report = search_generating_sets(handle, candidate_radius=radius, set_size=2, k=k)
+    assert len(report.per_candidate) == exact
+    missed = [gens for gens, _ in report.per_candidate if is_generating(handle, gens, 4) is not True]
+    assert len(missed) == exact - bfs
+    for gens in missed:
+        assert is_generating(handle, gens, 5) is True
+    if spec.family == "free":
+        formatted = [sorted(map(handle.format_element, gens.elements)) for gens in missed]
+        assert sorted(["a' a' a' b'", "a' a' b'", "b a a a", "b a a"]) in formatted
+
+
+@pytest.mark.parametrize(
+    "spec,radius,k",
+    [
+        (GroupSpec.free(2), 2, 5),
+        (GroupSpec.free(3), 1, 4),
+        (GroupSpec.free_abelian(2), 2, 8),
+        (GroupSpec.free_abelian(3), 1, 6),
+        (GroupSpec.heisenberg(), 2, 6),
+    ],
+    ids=lambda v: v.describe() if isinstance(v, GroupSpec) else str(v),
+)
+def test_basis_takes_the_default_gamma(spec, radius, k):
+    # search takes a basis's gamma(k) from the default counter; BFS on the
+    # set itself must give the default table at every radius
+    handle = make_group(spec)
+    default = growth_table(handle, handle.default_generators(), k)
+    rank = len(default.gens.elements) // 2
+    report = search_generating_sets(handle, candidate_radius=radius, set_size=rank, k=k)
+    assert report.per_candidate
+    for gens, u_k in report.per_candidate:
+        assert len(gens.elements) == len(default.gens.elements)
+        assert oracles.naive_ball_sizes(handle, gens.elements, k) == default.gamma
+        assert u_k == default.gamma[k] ** (1.0 / k)
 
 
 def test_search_rejects_bad_set_size():

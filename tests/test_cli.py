@@ -435,6 +435,21 @@ def test_too_deeply_nested_json_exits_two(tmp_path, capsys):
     assert err.startswith("error: maximum recursion depth exceeded") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["[" * 400 + "]" * 400, json.dumps(list(range(100000))), json.dumps({"family": "x" * 100000})],
+    ids=["nested", "long", "long-family"],
+)
+def test_malformed_spec_message_is_bounded(text, tmp_path, capsys):
+    # the message echoes the start of the input, not all of it
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run(["growth", "--spec", str(path), "--kmax", "1"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err) < 300 and err.endswith("...\n")
+
+
 def test_out_of_memory_exits_two_with_a_named_error(free2_spec, capsys, monkeypatch):
     # a MemoryError carries no message; the CLI names it
     def make_group(spec):

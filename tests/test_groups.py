@@ -13,6 +13,7 @@ from groupgrowth import (
     ball_elements,
     group_order,
     growth_table,
+    is_generating,
     make_generating_set,
     make_group,
 )
@@ -420,6 +421,79 @@ def test_custom_generating_set_symmetrization():
     plain = make_generating_set(handle, [("s", (2,))], symmetrize=False)
     assert not plain.symmetrized
     assert len(plain.elements) == 1
+
+
+# --- exact generation tests ---------------------------------------------------
+
+
+def free_words(n):
+    letters = st.integers(-n, n).filter(bool)
+    return st.lists(letters, min_size=1, max_size=6).map(oracles.reduce_free).filter(bool)
+
+
+def lattice_points(n):
+    return st.tuples(*[st.integers(-3, 3)] * n).filter(any)
+
+
+GENERATION_CASES = {
+    "free2": (GroupSpec.free(2), free_words(2)),
+    "free3": (GroupSpec.free(3), free_words(3)),
+    "z2": (GroupSpec.free_abelian(2), lattice_points(2)),
+    "z3": (GroupSpec.free_abelian(3), lattice_points(3)),
+    "heisenberg": (GroupSpec.heisenberg(), lattice_points(3)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GENERATION_CASES))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_generates_matches_the_oracle_and_bfs(case, data):
+    spec, points = GENERATION_CASES[case]
+    handle = make_group(spec)
+    elements = data.draw(st.lists(points, min_size=1, max_size=4, unique=True))
+    verdict = handle.generates(elements)
+    assert verdict is oracles.generation_ref(spec, elements)
+    gens = make_generating_set(handle, [(f"g{i}", el) for i, el in enumerate(elements)])
+    # BFS can only confirm: a set whose balls reach every default letter generates
+    if is_generating(handle, gens, 3) is True:
+        assert verdict is True
+
+
+def test_generates_examples():
+    free2 = make_group(GroupSpec.free(2))
+    # a'a'a'b' (a'a'b')^-1 = a', so the pair generates; BFS reaches a only at radius 5
+    assert free2.generates([(-1, -1, -1, -2), (-1, -1, -2)]) is True
+    assert free2.generates([(1, 1), (2,)]) is False
+    assert free2.generates([(1, 2, -1), (1,)]) is True
+    z2 = make_group(GroupSpec.free_abelian(2))
+    assert z2.generates([(2, 1), (1, 1)]) is True
+    assert z2.generates([(2, 0), (3, 0), (0, 1)]) is True
+    # fewer than n vectors have no n x n minor
+    assert z2.generates([(1, 0)]) is False
+    heisenberg = make_group(GroupSpec.heisenberg())
+    assert heisenberg.generates([(1, 0, 5), (1, 1, -2)]) is True
+    # z = [x, y] is central: no set of x and z reaches y
+    assert heisenberg.generates([(1, 0, 0), (0, 0, 1)]) is False
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        GroupSpec.surface(2),
+        GroupSpec.torus_bundle(A21),
+        GroupSpec.direct_product_with_Z(GroupSpec.surface(2)),
+        GroupSpec.direct_product_with_Z(GroupSpec.free(2)),
+        GroupSpec.free_product(GroupSpec.cyclic(2), GroupSpec.cyclic(3)),
+        GroupSpec.cyclic(6),
+        GroupSpec.klein_bottle(),
+    ],
+    ids=lambda spec: spec.describe(),
+)
+def test_generates_is_unknown_without_an_exact_test(spec):
+    # a surface group inherits FreeGroup's words but is not free: a set of
+    # 2g elements that generates it need not be a basis, so it answers None
+    handle = make_group(spec)
+    assert handle.generates(handle.default_generators().elements) is None
 
 
 # --- formatting ---------------------------------------------------------------
