@@ -5,9 +5,12 @@ generating set (equal as a set, in any order) of free groups, surface groups,
 Z^n, heisenberg and torus bundles, a per-family counter yields the sphere sizes
 and never forms a group element: free groups, Z^n and surface groups from
 their rational sphere series (Z^n's is ((1+x)/(1-x))^n), heisenberg by
-central columns (bit z + r(r+1)/2 of column (x, y) of B(r) marks (x, y, z)),
-a torus bundle by t-layers of sign classes.  Any other generating set, and
-every other family, runs `spheres`, a frontier BFS.  Either way
+central columns over x, y >= 0, a torus bundle by t-layers of sign classes,
+over n >= 0 when a signed permutation P has P M = M^-1 P.  These two fold
+automorphisms that permute the letters, so word length is constant on their
+orbits: (-x, y, -z) and (x, -y, -z), which negate z1 + z2 + x1 y2 with z, and
+(-v, n) and (Pv, -n), as P M^n = M^-n P.  Any other generating set, and every
+other family, runs `spheres`, a frontier BFS.  Either way
 `growth_table` sums the sphere sizes into balls in one place, and applies the
 element cap and the time budget there.
 
@@ -25,7 +28,7 @@ import math
 import time
 from dataclasses import dataclass, field
 
-from .groups import GeneratingSet, GroupHandle, GroupSpec, make_generating_set
+from .groups import GeneratingSet, GroupHandle, GroupSpec, MatrixZ2, make_generating_set
 
 
 class _Unknown:
@@ -123,21 +126,48 @@ def _heisenberg_spheres(handle):
     A column of B(r) is an int with bit z + r(r+1)/2 set for each of its z:
     the union is exact, and as the offset grows by r from B(r-1) to B(r),
     every term is shifted left, by r, r+x or r-x >= 0.  (x, y, z) ->
-    (-x, -y, z) is an automorphism that permutes the letters, so only
-    columns with x > 0, or x = 0 and y >= 0, are kept."""
+    (-x, y, -z) and (x, -y, -z) negate the product's z1 + z2 + x1 y2 with z,
+    so they are automorphisms; they permute the letters.  Only columns with
+    x, y >= 0 are kept, counted four times, twice on an axis and once at
+    (0, 0); columns (-1, y) and (x, -1) of B(r-1) are (1, y) and (x, 1) with
+    z negated, that is with their 2o+1 bits reversed (|z| <= o = (r-1)r/2)."""
     cols, ball = {(0, 0): 1}, 1
     for r in itertools.count(1):
-        whole = {(-x, -y): mask for (x, y), mask in cols.items()}
-        whole.update(cols)
-        get = whole.get
+        bits = f"0{r * r - r + 1}b"
+        for i in range(r - 1):
+            cols[-1, i] = int(format(cols[1, i], bits)[::-1], 2)
+            cols[i, -1] = int(format(cols[i, 1], bits)[::-1], 2)
+        get = cols.get
         cols = {
             (x, y): (get((x, y), 0) | get((x - 1, y), 0) | get((x + 1, y), 0)) << r
             | get((x, y - 1), 0) << (r + x) | get((x, y + 1), 0) << (r - x)
             for x in range(r + 1)
-            for y in range(x - r if x else 0, r - x + 1)
+            for y in range(r - x + 1)
         }
-        last, ball = ball, 2 * sum(mask.bit_count() for mask in cols.values()) - cols[0, 0].bit_count()
+        last, ball = ball, sum((2 - (not x)) * (2 - (not y)) * mask.bit_count() for (x, y), mask in cols.items())
         yield ball - last
+
+
+def _bundle_flip(m):
+    """A signed permutation P of Z^2 with P M = M^-1 P, or None."""
+    inverse = m.inverse()
+    for a, d in itertools.product((1, -1), repeat=2):
+        for p in (MatrixZ2(a, 0, 0, d), MatrixZ2(0, a, d, 0)):
+            if p.mul(m) == inverse.mul(p):
+                return p
+    return None
+
+
+def _recode(layer, old, new, p=(1, 0, 0, 1)):
+    """The codes |E| at width `new` of Pv, for the v that `layer` codes at width `old`.
+
+    Code E at width `old` is v = (x, E - x old) with x = (E + old//2) // old,
+    so the code of Pv is linear in E and x."""
+    a, b, c, d = p
+    beta = b * new + d
+    gamma = a * new + c - old * beta
+    half = old // 2
+    return {abs(beta * e + gamma * ((e + half) // old)) for e in layer}
 
 
 def _torus_bundle_spheres(handle):
@@ -152,9 +182,14 @@ def _torus_bundle_spheres(handle):
     covers B(K); K doubles, and the two kept spheres are re-encoded, when the
     radius reaches it.  (v, n) -> (-v, n) is an automorphism that permutes
     the letters, and E(-v) = -E(v), so a layer holds |E| for each class
-    {v, -v}: two elements, or one for v = 0.
+    {v, -v}: two elements, or one for v = 0.  A signed permutation P with
+    P M = M^-1 P has P M^n = M^-n P, so (v, n) -> (Pv, -n) keeps the product
+    (v1 + M^n1 v2, n1 + n2) and permutes the letters, swapping t and t^-1.
+    With such a P only layers n >= 0 are kept, counted twice for n > 0, and
+    layer -1, which layer 0 reads, is P applied to layer 1.
     """
     power = handle.power
+    flip = _bundle_flip(power(1))
 
     def width(K):
         return 2 * K * max(max(map(abs, power(n))) for n in range(-K, K + 1)) + 1
@@ -164,17 +199,11 @@ def _torus_bundle_spheres(handle):
     for k in itertools.count():
         if k >= K:
             K, old, W = 2 * K, W, width(2 * K)
-            half = old // 2
-
-            def recode(e):
-                x, y = divmod(e + half, old)
-                return abs(x * W + y - half)
-
-            prev, cur = (
-                {n: set(map(recode, layer)) for n, layer in sphere.items()} for sphere in (prev, cur)
-            )
+            prev, cur = ({n: _recode(layer, old, W) for n, layer in sphere.items()} for sphere in (prev, cur))
+        if flip is not None:
+            cur[-1] = _recode(cur.get(1, ()), W, W, flip)
         nxt = {}
-        for n in range(-k - 1, k + 2):
+        for n in range(-k - 1 if flip is None else 0, k + 2):
             new = cur.get(n - 1, set()) | cur.get(n + 1, set())
             layer = cur.get(n, set())
             if layer:
@@ -185,7 +214,7 @@ def _torus_bundle_spheres(handle):
             new -= prev.get(n, set())
             if new:
                 nxt[n] = new
-        yield sum(2 * len(layer) - (0 in layer) for layer in nxt.values())
+        yield sum((1 + (flip is not None and n > 0)) * (2 * len(layer) - (0 in layer)) for n, layer in nxt.items())
         prev, cur = cur, nxt
 
 

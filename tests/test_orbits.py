@@ -2,11 +2,12 @@
 
 The automorphism lists in `oracles` are written from the definitions.  These
 tests check them, check that word length is constant on their orbits and
-that the two symmetries the counters fold in, (x, y, z) -> (-x, -y, z) on
-heisenberg and -I on a torus bundle's Z^2, are on them, and check that the
-counters of free groups, surface groups, Z^n, heisenberg and torus bundles
-give the same balls as the plain BFS kernel and the naive oracle, under every
-budget, without forming a product.
+that the symmetries the counters fold in are on them: (x, y, z) -> (-x, y, -z)
+and (x, -y, -z) on heisenberg, and on a torus bundle (v, n) -> (-v, n) and,
+when the counter finds a signed permutation P with P M = M^-1 P, (Pv, -n).
+They check that the counters of free groups, surface groups, Z^n, heisenberg
+and torus bundles give the same balls as the plain BFS kernel and the naive
+oracle, under every budget, without forming a product.
 """
 
 import itertools
@@ -35,6 +36,8 @@ SWAP = ((3, -1), (1, 0))
 REFLECTION = ((2, 3), (1, 2))
 DET_MINUS_1 = ((1, 1), (1, 0))
 NO_FLIP = ((3, 1), (2, 1))
+# monodromies of finite order and a parabolic one: bounded or linear powers
+ELLIPTIC = (((1, 0), (0, 1)), ((-1, 0), (0, -1)), ((0, -1), (1, 0)), ((0, -1), (1, 1)), ((1, 1), (0, 1)))
 
 
 def bundle(rows):
@@ -260,20 +263,37 @@ def test_other_generating_sets_run_the_plain_kernel(spec, letters, kmax, monkeyp
     assert table.gamma == oracles.naive_ball_sizes(handle, gens.elements, kmax)
 
 
-def test_counter_symmetries_are_on_the_oracle_lists():
+def on_list(maps, f):
+    """Whether a map in `maps` agrees with f on a box around the identity."""
     points = list(itertools.product(range(-3, 4), range(-3, 4), range(-2, 3)))
+    return any(all(g(p) == f(p) for p in points) for g in maps)
 
-    def on_list(maps, f):
-        return any(all(g(p) == f(p) for p in points) for g in maps)
 
-    # heisenberg's counter keeps half the columns, bundles keep one of v and -v
-    assert on_list(oracles.heisenberg_automorphisms(), lambda p: (-p[0], -p[1], p[2]))
-    for rows in (*TRACE3, ROTATION, SWAP, REFLECTION, DET_MINUS_1, NO_FLIP):
+def test_counter_symmetries_are_on_the_oracle_lists():
+    # heisenberg's counter keeps the quarter x, y >= 0, bundles keep one of v and -v
+    for f in (
+        lambda p: (-p[0], -p[1], p[2]),
+        lambda p: (-p[0], p[1], -p[2]),
+        lambda p: (p[0], -p[1], -p[2]),
+    ):
+        assert on_list(oracles.heisenberg_automorphisms(), f)
+    for rows in (*TRACE3, ROTATION, SWAP, REFLECTION, DET_MINUS_1, NO_FLIP, *ELLIPTIC):
         assert on_list(oracles.torus_bundle_automorphisms(rows), lambda p: (-p[0], -p[1], p[2])), rows
 
 
-# monodromies of finite order and a parabolic one: bounded or linear powers
-ELLIPTIC = (((1, 0), (0, 1)), ((-1, 0), (0, -1)), ((0, -1), (1, 0)), ((0, -1), (1, 1)), ((1, 1), (0, 1)))
+@pytest.mark.parametrize(
+    "rows",
+    (*TRACE3, ROTATION, SWAP, REFLECTION, DET_MINUS_1, NO_FLIP, *ELLIPTIC),
+    ids=lambda rows: bundle(rows).describe(),
+)
+def test_bundle_flip_exactly_when_the_oracle_list_swaps_t(rows):
+    # the counter keeps layers n >= 0 exactly when a map (v, n) -> (Pv, -n) exists
+    swaps_t = [f for f in oracles.torus_bundle_automorphisms(rows) if f((0, 0, 1)) == (0, 0, -1)]
+    flip = cayley._bundle_flip(MatrixZ2.from_rows(rows))
+    assert (flip is not None) == bool(swaps_t)
+    if flip is not None:
+        a, b, c, d = flip
+        assert on_list(swaps_t, lambda p: (a * p[0] + b * p[1], c * p[0] + d * p[1], -p[2]))
 
 
 # counted specs of every counted family, each with a radius its plain kernel reaches quickly
@@ -347,6 +367,9 @@ def test_free_abelian_series_counter_matches_zd_ball():
         for spec, cap in (
             (GroupSpec.heisenberg(), 100_000),
             (bundle(ROTATION), 100_000),
+            (bundle(NO_FLIP), 100_000),
+            (bundle(DET_MINUS_1), 100_000),
+            (bundle(ELLIPTIC[3]), 100_000),
             (GroupSpec.free_abelian(3), 100_000),
             (GroupSpec.free(2), 100_000),
             (GroupSpec.surface(2), 25_000),
@@ -369,6 +392,7 @@ def test_large_kmax_under_a_cap_matches_the_plain_kernel(spec, cap):
         (GroupSpec.heisenberg(), 12),
         (bundle(ROTATION), 8),
         (bundle(DET_MINUS_1), 8),
+        (bundle(NO_FLIP), 8),
         (GroupSpec.free_abelian(3), 12),
         (GroupSpec.free(2), 8),
         (GroupSpec.surface(2), 5),
@@ -390,7 +414,7 @@ def test_counters_form_no_product(spec, kmax):
 
 
 def test_heisenberg_columns_at_radius_60():
-    # gamma(60) as counted by a column prototype without the half-plane fold
+    # gamma(60) as counted by a column prototype with no fold
     handle = make_group(GroupSpec.heisenberg())
     table = growth_table(handle, handle.default_generators(), 60)
     assert table.gamma[60] == 5_544_471
@@ -437,7 +461,7 @@ def test_every_benchmark_monodromy_has_a_flip(monkeypatch):
     assert set(TRACE3_MATRICES) == set(TRACE3)
     for rows in TRACE3_MATRICES:
         assert len(oracles.torus_bundle_automorphisms(rows)) == 4, rows
-        # the counter folds -I only, and counts the same balls as BFS
+        # the counter folds -I and the flip, and counts the same balls as BFS
         handle = make_group(bundle(rows))
         gens = handle.default_generators()
         assert growth_table(handle, gens, 6).gamma == plain_table(handle, gens, 6).gamma, rows
