@@ -2,8 +2,9 @@
 
 For each hyperbolic matrix (|det| = 1, no eigenvalue of modulus one) the
 scan records the dominant root modulus Lambda exactly as a quadratic surd
-and the growth bound it implies.  It solves a*d - b*c = +-1 for d, so it
-visits O(B^3) entry triples rather than all (2B+1)^4 matrices.  The
+and the growth bound it implies.  For each (a, d) and det = +-1 it reads
+the (b, c) pairs with b*c = a*d - det from one dict of products, so it
+does O(B^2) work rather than visit all (2B+1)^4 matrices.  The
 per-determinant summary shows why the two classes differ: det = +1
 hyperbolic means |tr| >= 3, which forces Lambda >= (3+sqrt(5))/2 > 2,
 while det = -1 allows |tr| = 1, where Lambda = (1+sqrt(5))/2 <= 2.  The
@@ -14,7 +15,7 @@ from groupgrowth import scan_hyperbolic
 
 if __name__ == "__main__":
     report = scan_hyperbolic(3)
-    print(f"hyperbolic matrices with |entries| <= 3: {len(report.rows)}")
+    print(f"hyperbolic matrices with |entries| <= 3: {report.hyperbolic_count}")
     print()
     for summary in report.classes:
         print(f"det = {summary.det:+d}: {summary.count} matrices")

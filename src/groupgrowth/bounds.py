@@ -8,9 +8,11 @@ Floats appear only in the final reported bound values.
 
 from __future__ import annotations
 
+import collections
+import functools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -369,45 +371,73 @@ class ScanClassSummary:
 
 @dataclass(frozen=True)
 class ScanReport:
+    """Summaries of a scan; the rows themselves are built on first read.
+
+    `spectra` maps each hyperbolic (|tr|, det) key to its (Lambda, Osin
+    value), so reading `rows` computes no spectrum twice.
+    """
+
     entry_bound: int
-    rows: tuple
+    hyperbolic_count: int
     classes: tuple  # summaries for det = +1 and det = -1
+    spectra: dict = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def rows(self) -> tuple:
+        """A ScanRow per hyperbolic matrix, in lexicographic (a, b, c, d) order."""
+        rows = []
+        for a, d, det, pairs in _by_products(self.entry_bound):
+            spectrum = self.spectra.get((abs(a + d), det))
+            if spectrum is not None:
+                rows.extend(ScanRow(a, b, c, d, det, a + d, *spectrum) for b, c in pairs)
+        rows.sort()  # a ascends already; this orders each a's rows by (b, c, d)
+        return tuple(rows)
 
 
 def scan_hyperbolic(entry_bound: int) -> ScanReport:
     """All hyperbolic matrices with |entries| <= entry_bound, by determinant class.
 
-    Rows come out in lexicographic (a, b, c, d) order; per class the report
-    keeps the exact minimal root modulus, the minimal Osin value, and whether
-    any modulus <= 2 occurred.
+    Per class the report keeps the count, the exact minimal root modulus,
+    the minimal Osin value, whether any modulus <= 2 occurred, and the
+    lexicographically first (a, b, c, d) attaining the minimum.
 
-    The scan runs over (a, b, c) and solves a*d - b*c = det for d, so it
-    costs O(B^3) for B = entry_bound.  Lambda, and with it the Osin value,
-    depends only on (|tr|, det): both are computed once per such key, and
-    the class summaries are folded over the keys instead of the rows.
+    The scan reads, for each (a, d) and det = +-1, the (b, c) pairs with
+    b*c = a*d - det from one dict of products, so it costs O(B^2) for
+    B = entry_bound.  Lambda, and with it the Osin value, depends only on
+    (|tr|, det): both are computed once per such key, in the order the keys
+    first occur among the matrices, and the summaries are folded over the
+    keys.  No row is built until `rows` is read.
     """
     if entry_bound < 0:
         raise ValueError("entry bound must be >= 0")
-    # (|tr|, det) -> None if not hyperbolic, else [lam, osin, count, first row]
+    # (|tr|, det) -> [matrix count, lexicographically first (a, b, c, d)]
+    keys = {}
+    for a, d, det, pairs in _by_products(entry_bound):
+        key, first = (abs(a + d), det), (a, *pairs[0], d)
+        entry = keys.get(key)
+        if entry is None:
+            keys[key] = [len(pairs), first]
+        else:
+            entry[0] += len(pairs)
+            if first < entry[1]:
+                entry[1] = first
     spectra = {}
-    rows = []
-    for a, b, c, d, det in _unimodular(entry_bound):
-        key = (abs(a + d), det)
-        if key not in spectra:
-            spectra[key] = _scan_spectrum(MatrixZ2(a, b, c, d))
-        spectrum = spectra[key]
-        if spectrum is not None:
-            spectrum[2] += 1
-            rows.append(ScanRow(a, b, c, d, det, a + d, spectrum[0], spectrum[1]))
+    found = {1: [], -1: []}
+    for key, (count, first) in sorted(keys.items(), key=lambda item: item[1][1]):
+        m = MatrixZ2(*first)
+        lam = lambda_max(m)
+        if lam > 1:
+            osin = osin_bound(m).value
+            spectra[key] = (lam, osin)
+            found[key[1]].append((lam, first, osin, count))
     classes = []
     for det in (1, -1):
-        found = [s for (_, key_det), s in spectra.items() if key_det == det and s is not None]
-        if not found:
+        if not found[det]:
             classes.append(ScanClassSummary(det, 0, None, None, False, None))
             continue
-        # least Lambda, and among equal ones the first row in scan order; the
-        # Osin value increases with Lambda, so this record holds its minimum too
-        min_lam, min_osin, _, witness = min(found, key=lambda s: (s[0], s[3]))
+        # one key per Lambda within a class; the Osin value increases with
+        # Lambda, so the least key holds its minimum too
+        min_lam, witness, min_osin, _ = min(found[det])
         le2 = min_lam <= 2
         note = None
         if det == 1 and not le2:
@@ -420,39 +450,29 @@ def scan_hyperbolic(entry_bound: int) -> ScanReport:
                 f"Lambda, so the det=-1 minimum {min_osin:.6g} still clears the "
                 "2^(1/6) solvable floor"
             )
-        count = sum(s[2] for s in found)
+        count = sum(s[3] for s in found[det])
         classes.append(ScanClassSummary(det, count, min_lam, min_osin, le2, witness, note))
-    return ScanReport(entry_bound=entry_bound, rows=tuple(rows), classes=tuple(classes))
+    total = sum(c.count for c in classes)
+    return ScanReport(entry_bound, total, tuple(classes), spectra)
 
 
-def _unimodular(entry_bound: int):
-    """(a, b, c, d, det) for each matrix with |entries| <= entry_bound and det = +-1.
+def _by_products(entry_bound: int):
+    """(a, d, det, pairs) for the diagonals of the matrices with det = +-1, a then d ascending.
 
-    Yields in lexicographic (a, b, c, d) order.  For a != 0 the determinant
-    fixes d = (b*c + det)/a; for a = 0 any d works once b*c = -det.
+    pairs lists, in lexicographic order, the (b, c) with |b|, |c| <= entry_bound
+    and b*c = a*d - det; a diagonal (a, d) with no such pair is skipped.
     """
     span = range(-entry_bound, entry_bound + 1)
+    products = collections.defaultdict(list)
+    for b in span:
+        for c in span:
+            products[b * c].append((b, c))
     for a in span:
-        dets = (-1, 1) if a > 0 else (1, -1)  # the order of their d values
-        for b in span:
-            for c in span:
-                bc = b * c
-                if a:
-                    for det in dets:
-                        n = bc + det
-                        if n % a == 0 and -entry_bound <= n // a <= entry_bound:
-                            yield a, b, c, n // a, det
-                elif bc == 1 or bc == -1:
-                    for d in span:
-                        yield a, b, c, d, -bc
-
-
-def _scan_spectrum(m: MatrixZ2):
-    """[Lambda, Osin value, 0, entries] of a hyperbolic m, else None."""
-    lam = lambda_max(m)
-    if not lam > 1:
-        return None
-    return [lam, osin_bound(m).value, 0, (m.a, m.b, m.c, m.d)]
+        for d in span:
+            for det in (1, -1):
+                pairs = products.get(a * d - det)
+                if pairs:
+                    yield a, d, det, pairs
 
 
 def scan_csv_rows(report: ScanReport) -> list[str]:

@@ -249,7 +249,7 @@ def _cmd_scan(args) -> int:
     _emit(
         {
             "entry_bound": report.entry_bound,
-            "hyperbolic_count": len(report.rows),
+            "hyperbolic_count": report.hyperbolic_count,
             "classes": classes,
             "csv": args.out,
         }

@@ -28,7 +28,7 @@ from groupgrowth import (
     squarefree_part,
     surface_bound,
 )
-from groupgrowth import cli
+from groupgrowth import bounds, cli
 from groupgrowth.bounds import _two_radical_sign, scan_csv_rows
 
 import oracles
@@ -396,8 +396,8 @@ def test_scan_classes_bound3():
 def test_scan_matches_four_loop_oracle(bound):
     rows, classes = naive_scan(bound)
     report = scan_hyperbolic(bound)
-    got = [(r.a, r.b, r.c, r.d, r.det, r.trace, r.lam.exact_str(), r.osin) for r in report.rows]
-    assert got == [(*row[:6], row[6].exact_str(), row[7]) for row in rows]
+    # the summaries come from per-key counts, before any row exists
+    assert report.hyperbolic_count == len(rows)
     for summary in report.classes:
         count, min_lam, min_osin, le2, witness = classes[summary.det]
         assert summary.count == count
@@ -405,6 +405,54 @@ def test_scan_matches_four_loop_oracle(bound):
         assert summary.min_osin == min_osin
         assert summary.lambda_le_2 == le2
         assert summary.witness == witness
+    assert "rows" not in vars(report)
+    got = [(r.a, r.b, r.c, r.d, r.det, r.trace, r.lam.exact_str(), r.osin) for r in report.rows]
+    assert got == [(*row[:6], row[6].exact_str(), row[7]) for row in rows]
+    assert report.rows is vars(report)["rows"]
+
+
+@pytest.mark.parametrize("bound", range(9))
+def test_scan_computes_each_spectrum_once_in_first_occurrence_order(bound, monkeypatch):
+    """lambda_max sees the first matrix of each (|tr|, det) key in lexicographic order, once.
+
+    The keys include the non-hyperbolic ones, some of which only matrices
+    with b*c = 0 reach, so the call count is that of the plain matrix loop.
+    """
+    seen = []
+    real = bounds.lambda_max
+
+    def recording(m):
+        seen.append((m.a, m.b, m.c, m.d))
+        return real(m)
+
+    monkeypatch.setattr(bounds, "lambda_max", recording)
+    expected, keys = [], set()
+    for a, b, c, d in oracles.all_int_matrices(bound):
+        key = (abs(a + d), a * d - b * c)
+        if key[1] in (1, -1) and key not in keys:
+            keys.add(key)
+            expected.append((a, b, c, d))
+    hyperbolic_keys = {(abs(row[5]), row[4]) for row in naive_scan(bound)[0]}
+    report = scan_hyperbolic(bound)
+    # osin_bound reads Lambda again, so each hyperbolic key is seen twice in a row
+    assert list(dict.fromkeys(seen)) == expected
+    assert len(seen) == len(expected) + len(hyperbolic_keys)
+    # building the rows reads the stored spectra
+    assert len(report.rows) == report.hyperbolic_count
+    assert len(seen) == len(expected) + len(hyperbolic_keys)
+
+
+def test_scan_cli_builds_no_rows(monkeypatch, capsys):
+    reports = []
+
+    def scan(entry_bound):
+        reports.append(scan_hyperbolic(entry_bound))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "scan_hyperbolic", scan)
+    assert cli.main(["scan", "--entry-bound", "8"]) == 0
+    assert '"hyperbolic_count": 1016' in capsys.readouterr().out
+    assert "rows" not in vars(reports[0])
 
 
 def test_scan_csv_bytes_match_oracle_rows(tmp_path, capsys):
