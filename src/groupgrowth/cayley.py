@@ -31,21 +31,6 @@ from dataclasses import dataclass, field
 from .groups import GeneratingSet, GroupHandle, GroupSpec, MatrixZ2, make_generating_set
 
 
-class _Unknown:
-    """Result of a generation check that neither succeeded nor refuted."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "UNKNOWN"
-
-    def __bool__(self) -> bool:
-        raise TypeError("UNKNOWN is not a truth value; compare with `is UNKNOWN`")
-
-
-UNKNOWN = _Unknown()
-
-
 @dataclass(frozen=True)
 class GrowthTable:
     """Ball counts gamma(k) for k = 0..kmax; kmax and the sphere counts sigma(k) follow."""
@@ -319,12 +304,13 @@ def ball_elements(handle: GroupHandle, gens: GeneratingSet, radius: int) -> list
     return out
 
 
-def is_generating(handle: GroupHandle, gens: GeneratingSet, radius_cap: int):
+def is_generating(handle: GroupHandle, gens: GeneratingSet, radius_cap: int) -> bool | None:
     """True if BFS over `gens` reaches every default generator within the cap.
 
     Returns False only when the BFS closes (finite reach) without covering
-    them, and UNKNOWN when the cap is exhausted first; an infinite group can
-    never earn a definitive False.
+    them, and None when the cap is exhausted first, as `GroupHandle.generates`
+    does where it cannot decide; an infinite group can never earn a
+    definitive False.
     """
     targets = set(handle.default_generators().elements) - {handle.identity}
     if not targets:
@@ -335,23 +321,7 @@ def is_generating(handle: GroupHandle, gens: GeneratingSet, radius_cap: int):
             return True
         if not sphere:
             return False
-    return UNKNOWN
-
-
-def _ball_if_generating(handle: GroupHandle, gens: GeneratingSet, k: int, targets: frozenset):
-    """gamma(k) over `gens` if BFS reaches all of `targets` by radius max(k, 4), else None.
-
-    One plain sphere pass does the work of `is_generating` to radius
-    max(k, 4) and of `growth_table` to radius k.
-    """
-    ball = 1
-    for radius, sphere in enumerate(spheres(handle, gens), 1):
-        targets = targets - sphere
-        if radius <= k:
-            ball += len(sphere)
-        if not sphere or (radius >= k and not targets) or radius == max(k, 4):
-            break
-    return None if targets else ball
+    return None
 
 
 @dataclass(frozen=True)
@@ -382,12 +352,12 @@ def search_generating_sets(
     over *verified* generating sets.
 
     On free groups (Stallings folding), Z^n and heisenberg (minors),
-    `handle.generates` decides generation exactly.  A set it certifies
-    that holds as many elements as the default set is a basis, and takes
-    gamma(k) from the default set's counter, computed once per call; a
-    larger one is counted by BFS to radius k.  Every other family (surface
-    groups, torus bundles, composites) keeps the BFS check: a set passes
-    when BFS over it reaches every default letter by radius max(k, 4).
+    `handle.generates` decides generation exactly.  Where it cannot decide
+    (surface groups, torus bundles, composites), a set passes when
+    `is_generating` finds every default letter within radius max(k, 4).
+    Each passing set's gamma(k) comes from `growth_table`, except that a
+    certified set holding as many elements as the default set is a basis
+    and takes the default set's gamma(k), computed once per call.
     """
     if set_size < 1:
         raise ValueError("set_size must be >= 1")
@@ -402,7 +372,6 @@ def search_generating_sets(
     # a ball is closed under inverses
     inverse = {el: handle.inv(el) for el in pool}
 
-    targets = frozenset(default.elements)
     basis_ball = None
     results = []
     seen_sets: set[frozenset] = set()
@@ -422,16 +391,14 @@ def search_generating_sets(
         if verdict is False:
             continue
         gens = make_generating_set(handle, [(f"g{i + 1}", el) for i, el in enumerate(combo)])
-        if verdict is None:
-            ball = _ball_if_generating(handle, gens, k, targets)
-            if ball is None:
-                continue
-        elif len(elements) == len(targets):
+        if verdict is None and is_generating(handle, gens, max(k, 4)) is not True:
+            continue
+        if verdict is True and len(elements) == len(default.elements):
             if basis_ball is None:
                 basis_ball = growth_table(handle, default, k).gamma[k]
             ball = basis_ball
         else:
-            ball = 1 + sum(map(len, itertools.islice(spheres(handle, gens), k)))
+            ball = growth_table(handle, gens, k).gamma[k]
         results.append((gens, root_bound(ball, k)))
     # min keeps the first of equal u_k
     best_set, best_root_bound = min(results, key=lambda pair: pair[1], default=(None, None))

@@ -12,15 +12,16 @@ from fractions import Fraction
 from itertools import permutations, product
 
 
-def naive_ball_sizes(handle, elements, kmax):
-    """Ball sizes by breadth-first search over raw payloads.
+def naive_balls(handle, elements, kmax):
+    """The balls B(0), ..., B(kmax) by breadth-first search over raw payloads.
 
     Uses only handle.mul and payload equality (payloads are canonical, so
-    `==` is group equality).  No frontier tricks, no canonical keys.
+    `==` is group equality).  No frontier tricks, no canonical keys.  Yields
+    one set, grown in place to the next radius after each yield.
     """
     seen = {handle.identity}
-    ball = [1]
     frontier = [handle.identity]
+    yield seen
     for _ in range(kmax):
         nxt = []
         for g in frontier:
@@ -29,9 +30,19 @@ def naive_ball_sizes(handle, elements, kmax):
                 if h not in seen:
                     seen.add(h)
                     nxt.append(h)
-        ball.append(len(seen))
         frontier = nxt
-    return tuple(ball)
+        yield seen
+
+
+def naive_ball_sizes(handle, elements, kmax):
+    """Ball sizes gamma(0), ..., gamma(kmax) by `naive_balls`."""
+    return tuple(len(ball) for ball in naive_balls(handle, elements, kmax))
+
+
+def reaches_default_letters(handle, elements, radius):
+    """Whether the ball of `radius` over `elements` holds every default letter, by `naive_balls`."""
+    *_, ball = naive_balls(handle, elements, radius)
+    return ball.issuperset(handle.default_generators().elements)
 
 
 def free_ball(n, k):
