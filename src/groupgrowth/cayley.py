@@ -1,18 +1,25 @@
-"""Exact Cayley-ball counts: breadth-first search, or a per-family counter.
+"""Exact Cayley-ball counts: a counting plan per spec node, or breadth-first search.
 
-`growth_table` chooses its counting path in one place.  On the default
-generating set (equal as a set, in any order) of free groups, surface groups,
-Z^n, heisenberg and torus bundles, a per-family counter yields the sphere sizes
-and never forms a group element: free groups, Z^n and surface groups from
-their rational sphere series (Z^n's is ((1+x)/(1-x))^n), heisenberg by
-central columns over x, y >= 0, a torus bundle by t-layers of sign classes,
-over n >= 0 when a signed permutation P has P M = M^-1 P.  These two fold
-automorphisms that permute the letters, so word length is constant on their
-orbits: (-x, y, -z) and (x, -y, -z), which negate z1 + z2 + x1 y2 with z, and
-(-v, n) and (Pv, -n), as P M^n = M^-n P.  Any other generating set, and every
-other family, runs `spheres`, a frontier BFS.  Either way
-`growth_table` sums the sphere sizes into balls in one place, and applies the
-element cap and the time budget there.
+`growth_table` chooses its counting path in one place, `_plan`.  On the
+default generating set (equal as a set, in any order), a spec node is planned
+as one of these, none of which forms an element of the group it counts:
+
+* a family counter.  Free groups, Z^n and surface groups yield their sphere
+  sizes from their rational sphere series (Z^n's is ((1+x)/(1-x))^n),
+  heisenberg by central columns over x, y >= 0, a torus bundle by t-layers of
+  sign classes, over n >= 0 when a signed permutation P has P M = M^-1 P.
+  These two fold automorphisms that permute the letters, so word length is
+  constant on their orbits: (-x, y, -z) and (x, -y, -z), which negate
+  z1 + z2 + x1 y2 with z, and (-v, n) and (Pv, -n), as P M^n = M^-n P;
+* a cyclic leaf, an exact polynomial;
+* a free product of n factors, from the identity 1/S = sum_i 1/S_i - (n-1)
+  between sphere series, which holds coefficient by coefficient (de la Harpe,
+  *Topics in Geometric Group Theory*, ch. VI).  A factor that has no plan
+  (the Klein bottle, Z x G) runs BFS on its own default letters.
+
+Any other generating set, and a Klein bottle or Z x G root, runs `spheres`, a
+frontier BFS.  Either way `growth_table` sums the sphere sizes into balls in
+one place, and applies the element cap and the time budget there.
 
 BFS dedups spheres on element payloads, which every family keeps in canonical
 hashable form, so no product is encoded to bytes.  Because every generator
@@ -237,14 +244,74 @@ def _rational_spheres(handle):
             yield s
 
 
+def _cyclic_spheres(handle):
+    """sigma(1), sigma(2), ... of cyclic(m) on a and a^-1: 2 while 2k < m,
+    1 at k = m/2 when m is even, then 0."""
+    m = handle.m
+    for k in itertools.count(1):
+        yield 2 if 2 * k < m else 1 if 2 * k == m else 0
+
+
+def _free_product_spheres(factors):
+    """sigma(1), sigma(2), ... of a free product from its factors' sphere sizes.
+
+    On the union of the factors' letters the sphere series obey
+    1/S = sum_i 1/S_i - (n-1) coefficient by coefficient, so sphere k needs
+    sphere k of every factor and nothing beyond.  Every series has constant
+    term 1, so each inverse has integer coefficients: coefficient k of
+    S * (1/S) = 1 gives t_k = -sum_{j=1..k} s_j t_{k-j}.  A factor that ends
+    after an empty sphere is exhausted and reads 0 from then on; one that ends
+    without one was cut by its cap, and the product stops there too.
+    """
+    series = [[1] for _ in factors]  # S_i
+    inverses = [[1] for _ in factors]  # 1/S_i
+    total = [1]  # sum_i 1/S_i - (n-1)
+    out = [1]  # S
+    for k in itertools.count(1):
+        term = 0
+        for sizes, s, t in zip(factors, series, inverses):
+            size = next(sizes, None)
+            if size is None:
+                if s[-1]:
+                    return
+                size = 0
+            s.append(size)
+            t.append(-sum(s[j] * t[k - j] for j in range(1, k + 1)))
+            term += t[k]
+        total.append(term)
+        out.append(-sum(total[j] * out[k - j] for j in range(1, k + 1)))
+        yield out[k]
+
+
 # family -> sphere counter for its default generating set
 _SPHERE_COUNTERS = {
+    "cyclic": _cyclic_spheres,
     "free": _rational_spheres,
     "free_abelian": _rational_spheres,
     "heisenberg": _heisenberg_spheres,
     "surface": _rational_spheres,
     "torus_bundle": _torus_bundle_spheres,
 }
+
+
+def _plan(handle: GroupHandle, max_elements: int | None):
+    """sigma(1), sigma(2), ... of the handle's default generating set without
+    BFS at this node, or None where the node runs BFS.
+
+    A family counter or a free product of planned factors.  A factor without
+    a plan runs BFS on its own default letters, under the same cap: a factor
+    embeds isometrically, so its ball never passes the product's.
+    """
+    if handle.spec.family == "free_product":
+        factors = []
+        for factor in handle.factor_handles:
+            sizes = _plan(factor, max_elements)
+            if sizes is None:
+                sizes = map(len, spheres(factor, factor.default_generators(), max_elements))
+            factors.append(sizes)
+        return _free_product_spheres(factors)
+    counter = _SPHERE_COUNTERS.get(handle.spec.family)
+    return None if counter is None else counter(handle)
 
 
 def growth_table(
@@ -254,23 +321,29 @@ def growth_table(
     max_elements: int | None = None,
     max_seconds: float | None = None,
 ) -> GrowthTable:
-    """Exact gamma from the family's sphere counter when `gens` is its default
+    """Exact gamma from the spec's counting plan when `gens` is its default
     generating set as a set, else from frontier BFS.
+
+    The plan is a family counter, a cyclic polynomial, or for a free product
+    the series identity 1/S = sum_i 1/S_i - (n-1) over its factors' plans (de
+    la Harpe, *Topics in Geometric Group Theory*, ch. VI); a Klein bottle or
+    Z x G node runs BFS, as a factor on its own letters or as the root.
 
     Stops early with ``complete=False`` when a budget runs out: before the
     first ball larger than `max_elements`, or at the first radius reached
     after `max_seconds`.  The table is truncated at the last ball counted in
     full.  ClosureBudgetExceeded arises only on BFS, from a surface group
     whose canonicalization blows its closure budget: on a generating set
-    other than the default one, or inside a composite spec.
+    other than the default one, at a Z x G node, or in a BFS factor of a
+    free product.
     """
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
     t0 = time.monotonic()
-    counter = _SPHERE_COUNTERS.get(handle.spec.family)
-    if counter is not None and set(gens.elements) == set(handle.default_generators().elements):
-        sizes = counter(handle)
-    else:
+    sizes = None
+    if set(gens.elements) == set(handle.default_generators().elements):
+        sizes = _plan(handle, max_elements)
+    if sizes is None:
         sizes = map(len, spheres(handle, gens, max_elements))
     cap = math.inf if max_elements is None else max_elements
     gamma = [1]

@@ -389,9 +389,12 @@ class GroupHandle:
     A handle holds element arithmetic, and for some families an exact
     generation test (`generates`).  How balls are counted is
     `cayley.growth_table`'s choice: BFS over `mul` by default, or, on the
-    default generating set of a free group, a surface group, Z^n, heisenberg
-    or a torus bundle, a counter there that yields the sphere sizes from the
-    family's parameters alone and never calls `mul`.
+    default generating set, a counting plan that never calls `mul`.  A
+    cyclic group, a free group, a surface group, Z^n, heisenberg or a torus
+    bundle has a counter that yields the sphere sizes from the family's
+    parameters alone.  A free product combines its factors' sphere sizes by
+    1/S = sum_i 1/S_i - (n-1) (de la Harpe, *Topics in Geometric Group
+    Theory*, ch. VI); a factor without a plan runs BFS over its own `mul`.
     """
 
     identity = None

@@ -100,6 +100,124 @@ def test_klein_growth_equals_z2():
     assert table.gamma == tuple(2 * k * k + 2 * k + 1 for k in range(13))
 
 
+# --- counting plans against full BFS ----------------------------------------------
+
+
+def Z(m):
+    return GroupSpec.cyclic(m)
+
+
+def product_mul_forbidden(handle):
+    """Make `handle.mul` raise, so a table that forms an element of the group fails."""
+
+    def no_mul(a, b):
+        raise AssertionError(f"element of {handle.spec.describe()} formed")
+
+    handle.mul = no_mul
+
+
+FREE_PRODUCTS = [
+    (GroupSpec.free_product(Z(2), Z(3)), 12),
+    (GroupSpec.free_product(Z(2), Z(2)), 12),
+    (GroupSpec.free_product(Z(2), Z(2), Z(2)), 9),
+    (GroupSpec.free_product(Z(4), Z(5)), 8),
+    (GroupSpec.free_product(GroupSpec.free(1), Z(2)), 8),
+    (GroupSpec.free_product(GroupSpec.heisenberg(), Z(2)), 6),
+    (GroupSpec.free_product(GroupSpec.surface(2), Z(2), Z(3)), 3),
+    (GroupSpec.free_product(GroupSpec.torus_bundle(MatrixZ2(2, 1, 1, 1)), Z(3)), 5),
+    # factors without a plan run BFS on their own letters
+    (GroupSpec.free_product(GroupSpec.klein_bottle(), Z(3)), 6),
+    (GroupSpec.free_product(GroupSpec.direct_product_with_Z(GroupSpec.free(1)), Z(2)), 6),
+    (GroupSpec.free_product(GroupSpec.free_product(Z(2), Z(3)), Z(4)), 7),
+]
+
+
+def spec_id(value):
+    return value.describe() if isinstance(value, GroupSpec) else str(value)
+
+
+@pytest.mark.parametrize("spec,kmax", FREE_PRODUCTS, ids=spec_id)
+def test_free_product_series_matches_full_bfs(spec, kmax):
+    handle = make_group(spec)
+    gens = handle.default_generators()
+    expected = oracles.naive_ball_sizes(handle, gens.elements, kmax)
+    product_mul_forbidden(handle)
+    table = growth_table(handle, gens, kmax)
+    assert table.gamma == expected
+    assert table.complete
+
+
+def test_z2_star_z2_spheres_stay_at_two():
+    # the infinite dihedral group: two reduced words of each length k >= 1
+    _, table = default_table(GroupSpec.free_product(Z(2), Z(2)), 30)
+    assert table.sigma == (1,) + (2,) * 30
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_cyclic_leaf_matches_the_closed_form(m):
+    handle = make_group(Z(m))
+    gens = handle.default_generators()
+    expected = oracles.naive_ball_sizes(handle, gens.elements, m + 2)
+    assert expected == tuple(oracles.cyclic_ball(m, k) for k in range(m + 3))
+    product_mul_forbidden(handle)
+    assert growth_table(handle, gens, m + 2).gamma == expected
+
+
+def test_shuffled_default_order_takes_the_plan():
+    handle = make_group(GroupSpec.free_product(GroupSpec.heisenberg(), Z(3), Z(2)))
+    named = handle.default_generators().named()
+    random.Random(3).shuffle(named)
+    gens = make_generating_set(handle, named, symmetrize=False)
+    expected = oracles.naive_ball_sizes(handle, gens.elements, 5)
+    product_mul_forbidden(handle)
+    assert growth_table(handle, gens, 5).gamma == expected
+
+
+def test_other_generating_set_of_a_free_product_runs_bfs():
+    handle = make_group(GroupSpec.free_product(Z(2), Z(3)))
+    # a1, a2 and a1 a2, whose ball is not the default one
+    gens = make_generating_set(handle, [("a", ((0, 1),)), ("b", ((1, 1),)), ("c", ((0, 1), (1, 1)))])
+    expected = oracles.naive_ball_sizes(handle, gens.elements, 8)
+    assert expected != oracles.naive_ball_sizes(handle, handle.default_generators().elements, 8)
+    products = 0
+    mul = handle.mul
+
+    def counting_mul(a, b):
+        nonlocal products
+        products += 1
+        return mul(a, b)
+
+    handle.mul = counting_mul
+    assert growth_table(handle, gens, 8).gamma == expected
+    assert products > 0
+
+
+@pytest.mark.parametrize(
+    "spec,kmax",
+    [
+        (GroupSpec.free_product(Z(2), Z(2), Z(2)), 8),
+        (GroupSpec.free_product(GroupSpec.heisenberg(), Z(2)), 5),
+        # the BFS factor is cut by the cap at the radius where the product's
+        # ball first passes it; the product must stop there
+        (GroupSpec.free_product(GroupSpec.klein_bottle(), Z(3)), 5),
+        (GroupSpec.free_product(GroupSpec.direct_product_with_Z(GroupSpec.free(1)), Z(2)), 5),
+        (GroupSpec.free_product(Z(2), GroupSpec.direct_product_with_Z(GroupSpec.free(2))), 3),
+    ],
+    ids=spec_id,
+)
+def test_capped_free_product_stops_where_bfs_stops(spec, kmax):
+    # BFS stops before the first ball larger than the cap and reports
+    # complete only when the whole table fits
+    handle = make_group(spec)
+    gens = handle.default_generators()
+    full = oracles.naive_ball_sizes(handle, gens.elements, kmax)
+    caps = set(range(1, 40)) | {c for ball in full[1:] for c in (ball - 1, ball, ball + 1)}
+    for cap in sorted(caps):
+        table = growth_table(handle, gens, kmax, max_elements=cap)
+        assert table.gamma == tuple(ball for ball in full if ball <= cap), cap
+        assert table.complete == (full[-1] <= cap), cap
+
+
 # --- table invariants and budgets ----------------------------------------------
 
 
@@ -264,7 +382,8 @@ def test_bfs_rejects_letters_without_their_inverses():
     ids=["cyclic3", "klein", "z2_z3", "z_x_free2"],
 )
 def test_unsymmetrized_set_that_holds_every_inverse_counts(spec):
-    # none of these families has a sphere counter, so BFS runs on both sets
+    # the Klein bottle and Z x free(2) have no counting plan, so BFS runs on
+    # both sets; cyclic(3) and Z2*Z3 take their plan on both
     handle = make_group(spec)
     default = handle.default_generators()
     named = default.named()
