@@ -6,12 +6,14 @@ as one of these, none of which forms an element of the group it counts:
 
 * a family counter.  Free groups, Z^n and surface groups yield their sphere
   sizes from their rational sphere series (Z^n's is ((1+x)/(1-x))^n),
-  heisenberg by central columns over x, y >= 0, a torus bundle by t-layers of
-  sign classes, over n >= 0 when a signed permutation P has P M = M^-1 P.
-  These two fold automorphisms that permute the letters, so word length is
-  constant on their orbits: (-x, y, -z) and (x, -y, -z), which negate
-  z1 + z2 + x1 y2 with z, and (-v, n) and (Pv, -n), as P M^n = M^-n P;
-* a cyclic leaf, an exact polynomial;
+  heisenberg by the height of each central column over x, y >= 0 (every
+  column is an integer interval [xy - h, h], proved at the counter), a torus
+  bundle by t-layers of sign classes, over n >= 0 when a signed permutation
+  P has P M = M^-1 P.  These two fold automorphisms that permute the
+  letters, so word length is constant on their orbits: (-x, y, -z) and
+  (x, -y, -z), which negate z1 + z2 + x1 y2 with z, and (-v, n) and
+  (Pv, -n), as P M^n = M^-n P;
+* a cyclic leaf (the trivial group is cyclic(1)), an exact polynomial;
 * a free product of n factors, from the identity 1/S = sum_i 1/S_i - (n-1)
   between sphere series, which holds coefficient by coefficient (de la Harpe,
   *Topics in Geometric Group Theory*, ch. VI).  A factor that has no plan
@@ -109,34 +111,47 @@ def spheres(handle: GroupHandle, gens: GeneratingSet, max_elements: int | None =
 
 
 def _heisenberg_spheres(handle):
-    """sigma(1), sigma(2), ... of heisenberg on x and y, by central columns.
+    """sigma(1), sigma(2), ... of heisenberg on x and y, by central column heights.
 
     Column (x, y) of a ball is the set of z with (x, y, z) in it.  As
     (x, y, z)x^+-1 = (x+-1, y, z) and (x, y, z)y^+-1 = (x, y+-1, z+-x), column
     (x, y) of B(r) is the union of columns (x, y), (x-1, y) and (x+1, y) of
     B(r-1), column (x, y-1) shifted by x and column (x, y+1) shifted by -x.
-    A column of B(r) is an int with bit z + r(r+1)/2 set for each of its z:
-    the union is exact, and as the offset grows by r from B(r-1) to B(r),
-    every term is shifted left, by r, r+x or r-x >= 0.  (x, y, z) ->
-    (-x, y, -z) and (x, -y, -z) negate the product's z1 + z2 + x1 y2 with z,
-    so they are automorphisms; they permute the letters.  Only columns with
-    x, y >= 0 are kept, counted four times, twice on an axis and once at
-    (0, 0); columns (-1, y) and (x, -1) of B(r-1) are (1, y) and (x, 1) with
-    z negated, that is with their 2o+1 bits reversed (|z| <= o = (r-1)r/2)."""
-    cols, ball = {(0, 0): 1}, 1
+    Every column of B(r) is the integer interval [xy - h, h] of one height h:
+
+    * it is an interval.  A word's z is the sum, over its y-letters y^d, of d
+      times the x reached before that letter.  The arrangements of one
+      multiset of letters end at the same (x, y), and adjacent swaps join any
+      two of them.  Swapping x^e y^d changes z by ed = +-1, any other swap by
+      0, so their z fill an integer interval, which holds 0 (y-letters first)
+      and xy (x-letters first).  The column is the union of these intervals
+      over the multisets of at most r letters that end at (x, y), all through 0;
+    * its lowest z is xy - h.  (x, y, z) -> (-x, y, -z) and (x, -y, -z) negate
+      the product's z1 + z2 + x1 y2 with z, so they are automorphisms, and
+      they permute the letters, as inversion does.  So g -> their composite
+      of g^-1, which is (x, y, xy - z), keeps word length and maps the column
+      onto itself by z -> xy - z.
+
+    So h_r(x, y) = max(h(x, y), h(x+-1, y), h(x, y-1) + x, h(x, y+1) - x) over
+    the columns of B(r-1), and the column holds 2h - xy + 1 elements.  Only
+    columns with x, y >= 0 are kept, counted four times, twice on an axis and
+    once at (0, 0); by the same automorphisms, columns (-1, y) and (x, -1) of
+    B(r-1) are (1, y) and (x, 1) negated: h(-1, y) = h(1, y) - y and
+    h(x, -1) = h(x, 1) - x."""
+    heights, ball = {(0, 0): 0}, 1
+    absent = -math.inf
     for r in itertools.count(1):
-        bits = f"0{r * r - r + 1}b"
         for i in range(r - 1):
-            cols[-1, i] = int(format(cols[1, i], bits)[::-1], 2)
-            cols[i, -1] = int(format(cols[i, 1], bits)[::-1], 2)
-        get = cols.get
-        cols = {
-            (x, y): (get((x, y), 0) | get((x - 1, y), 0) | get((x + 1, y), 0)) << r
-            | get((x, y - 1), 0) << (r + x) | get((x, y + 1), 0) << (r - x)
+            heights[-1, i] = heights[1, i] - i
+            heights[i, -1] = heights[i, 1] - i
+        get = heights.get
+        heights = {
+            (x, y): max(get((x, y), absent), get((x - 1, y), absent), get((x + 1, y), absent),
+                        get((x, y - 1), absent) + x, get((x, y + 1), absent) - x)
             for x in range(r + 1)
             for y in range(r - x + 1)
         }
-        last, ball = ball, sum((2 - (not x)) * (2 - (not y)) * mask.bit_count() for (x, y), mask in cols.items())
+        last, ball = ball, sum((2 - (not x)) * (2 - (not y)) * (2 * h - x * y + 1) for (x, y), h in heights.items())
         yield ball - last
 
 
@@ -246,7 +261,8 @@ def _rational_spheres(handle):
 
 def _cyclic_spheres(handle):
     """sigma(1), sigma(2), ... of cyclic(m) on a and a^-1: 2 while 2k < m,
-    1 at k = m/2 when m is even, then 0."""
+    1 at k = m/2 when m is even, then 0.  The trivial group is m = 1.  Each
+    sphere is read off m, so a huge order costs no memory."""
     m = handle.m
     for k in itertools.count(1):
         yield 2 if 2 * k < m else 1 if 2 * k == m else 0
@@ -291,6 +307,7 @@ _SPHERE_COUNTERS = {
     "heisenberg": _heisenberg_spheres,
     "surface": _rational_spheres,
     "torus_bundle": _torus_bundle_spheres,
+    "trivial": _cyclic_spheres,
 }
 
 

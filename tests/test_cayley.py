@@ -62,7 +62,18 @@ def test_cyclic_exhausts_and_pads():
     assert table.complete
 
 
-def test_trivial_group_table():
+def bfs_forbidden(monkeypatch):
+    """Make `cayley.spheres` raise, so a table counted by BFS fails."""
+
+    def no_bfs(handle, *args, **kwargs):
+        raise AssertionError(f"BFS ran on {handle.spec.describe()}")
+
+    monkeypatch.setattr(cayley, "spheres", no_bfs)
+
+
+def test_trivial_group_table(monkeypatch):
+    # the trivial group is cyclic(1) to its counter, not BFS over no letters
+    bfs_forbidden(monkeypatch)
     _, table = default_table(GroupSpec.trivial(), 5)
     assert table.gamma == (1,) * 6
     assert table.sigma == (1, 0, 0, 0, 0, 0)
@@ -161,6 +172,28 @@ def test_cyclic_leaf_matches_the_closed_form(m):
     assert expected == tuple(oracles.cyclic_ball(m, k) for k in range(m + 3))
     product_mul_forbidden(handle)
     assert growth_table(handle, gens, m + 2).gamma == expected
+
+
+@pytest.mark.parametrize("spec", [GroupSpec.trivial(), Z(5), Z(6)], ids=GroupSpec.describe)
+@pytest.mark.parametrize(
+    "budget", [{"max_elements": 1}, {"max_elements": 4}, {"max_seconds": 0}], ids=["cap 1", "cap 4", "no time"]
+)
+def test_cyclic_leaf_stops_where_bfs_stops(spec, budget, monkeypatch):
+    handle = make_group(spec)
+    gens = handle.default_generators()
+    with monkeypatch.context() as mp:
+        mp.setattr(cayley, "_SPHERE_COUNTERS", {})
+        bfs = growth_table(handle, gens, 8, **budget)
+    bfs_forbidden(monkeypatch)
+    planned = growth_table(handle, gens, 8, **budget)
+    assert (planned.gamma, planned.complete) == (bfs.gamma, bfs.complete)
+
+
+@pytest.mark.parametrize("spec", [Z(10**12), GroupSpec.free_product(Z(10**12), Z(2))], ids=spec_id)
+def test_cyclic_leaf_of_huge_order(spec):
+    # each cyclic sphere is read off m, so the order costs neither time nor memory
+    handle, table = default_table(spec, 6)
+    assert table.gamma == oracles.naive_ball_sizes(handle, handle.default_generators().elements, 6)
 
 
 def test_shuffled_default_order_takes_the_plan():

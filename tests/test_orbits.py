@@ -14,6 +14,7 @@ import itertools
 import pathlib
 import random
 import sys
+import types
 
 import pytest
 
@@ -418,6 +419,22 @@ def test_heisenberg_columns_at_radius_60():
     handle = make_group(GroupSpec.heisenberg())
     table = growth_table(handle, handle.default_generators(), 60)
     assert table.gamma[60] == 5_544_471
+
+
+def test_heisenberg_columns_are_intervals_through_the_xy_reflection():
+    # the two facts the height counter rests on, on a BFS that uses only the oracle product:
+    # column (x, y) of B(r) is an integer interval [lo, hi], and lo = xy - hi
+    group = types.SimpleNamespace(identity=(0, 0, 0), mul=oracles.heisenberg_mul)
+    letters = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)]
+    for r, ball in enumerate(oracles.naive_balls(group, letters, 10)):
+        columns = {}
+        for x, y, z in ball:
+            columns.setdefault((x, y), set()).add(z)
+        assert len(columns) == 2 * r * r + 2 * r + 1
+        for (x, y), column in columns.items():
+            lo, hi = min(column), max(column)
+            assert column == set(range(lo, hi + 1)), (r, x, y)
+            assert lo == x * y - hi, (r, x, y)
 
 
 def product_counts(spec, kmax, seed):
