@@ -4,24 +4,20 @@
 default generating set (equal as a set, in any order), a spec node is planned
 as one of these, none of which forms an element of the group it counts:
 
-* a family counter.  Free groups, Z^n and surface groups yield their sphere
-  sizes from their rational sphere series (Z^n's is ((1+x)/(1-x))^n),
-  heisenberg by the height of each central column over x, y >= 0 (every
-  column is an integer interval [xy - h, h], proved at the counter), a torus
-  bundle by t-layers of sign classes, over n >= 0 when a signed permutation
-  P has P M = M^-1 P.  These two fold automorphisms that permute the
-  letters, so word length is constant on their orbits: (-x, y, -z) and
-  (x, -y, -z), which negate z1 + z2 + x1 y2 with z, and (-v, n) and
-  (Pv, -n), as P M^n = M^-n P;
-* a cyclic leaf (the trivial group is cyclic(1)), an exact polynomial;
+* a leaf other than a torus bundle (free groups, Z^n, surface groups,
+  heisenberg, the Klein bottle, cyclic and trivial groups), by one integer
+  recurrence from its rational sphere series (`_sphere_series`);
+* a torus bundle, by t-layers of sign classes, over n >= 0 when a signed
+  permutation P has P M = M^-1 P: (v, n) -> (-v, n) and (Pv, -n), as
+  P M^n = M^-n P, permute the letters, so word length is constant on orbits;
 * a free product of n factors, from the identity 1/S = sum_i 1/S_i - (n-1)
   between sphere series, which holds coefficient by coefficient (de la Harpe,
-  *Topics in Geometric Group Theory*, ch. VI).  A factor that has no plan
-  (the Klein bottle, Z x G) runs BFS on its own default letters.
+  *Topics in Geometric Group Theory*, ch. VI).  A Z x G factor, which has no
+  plan, runs BFS on its own default letters.
 
-Any other generating set, and a Klein bottle or Z x G root, runs `spheres`, a
-frontier BFS.  Either way `growth_table` sums the sphere sizes into balls in
-one place, and applies the element cap and the time budget there.
+Any other generating set, and a Z x G root, runs `spheres`, a frontier BFS.
+Either way `growth_table` sums the sphere sizes into balls in one place, and
+applies the element cap and the time budget there.
 
 BFS dedups spheres on element payloads, which every family keeps in canonical
 hashable form, so no product is encoded to bytes.  Because every generator
@@ -110,51 +106,6 @@ def spheres(handle: GroupHandle, gens: GeneratingSet, max_elements: int | None =
         prev, cur = cur, nxt
 
 
-def _heisenberg_spheres(handle):
-    """sigma(1), sigma(2), ... of heisenberg on x and y, by central column heights.
-
-    Column (x, y) of a ball is the set of z with (x, y, z) in it.  As
-    (x, y, z)x^+-1 = (x+-1, y, z) and (x, y, z)y^+-1 = (x, y+-1, z+-x), column
-    (x, y) of B(r) is the union of columns (x, y), (x-1, y) and (x+1, y) of
-    B(r-1), column (x, y-1) shifted by x and column (x, y+1) shifted by -x.
-    Every column of B(r) is the integer interval [xy - h, h] of one height h:
-
-    * it is an interval.  A word's z is the sum, over its y-letters y^d, of d
-      times the x reached before that letter.  The arrangements of one
-      multiset of letters end at the same (x, y), and adjacent swaps join any
-      two of them.  Swapping x^e y^d changes z by ed = +-1, any other swap by
-      0, so their z fill an integer interval, which holds 0 (y-letters first)
-      and xy (x-letters first).  The column is the union of these intervals
-      over the multisets of at most r letters that end at (x, y), all through 0;
-    * its lowest z is xy - h.  (x, y, z) -> (-x, y, -z) and (x, -y, -z) negate
-      the product's z1 + z2 + x1 y2 with z, so they are automorphisms, and
-      they permute the letters, as inversion does.  So g -> their composite
-      of g^-1, which is (x, y, xy - z), keeps word length and maps the column
-      onto itself by z -> xy - z.
-
-    So h_r(x, y) = max(h(x, y), h(x+-1, y), h(x, y-1) + x, h(x, y+1) - x) over
-    the columns of B(r-1), and the column holds 2h - xy + 1 elements.  Only
-    columns with x, y >= 0 are kept, counted four times, twice on an axis and
-    once at (0, 0); by the same automorphisms, columns (-1, y) and (x, -1) of
-    B(r-1) are (1, y) and (x, 1) negated: h(-1, y) = h(1, y) - y and
-    h(x, -1) = h(x, 1) - x."""
-    heights, ball = {(0, 0): 0}, 1
-    absent = -math.inf
-    for r in itertools.count(1):
-        for i in range(r - 1):
-            heights[-1, i] = heights[1, i] - i
-            heights[i, -1] = heights[i, 1] - i
-        get = heights.get
-        heights = {
-            (x, y): max(get((x, y), absent), get((x - 1, y), absent), get((x + 1, y), absent),
-                        get((x, y - 1), absent) + x, get((x, y + 1), absent) - x)
-            for x in range(r + 1)
-            for y in range(r - x + 1)
-        }
-        last, ball = ball, sum((2 - (not x)) * (2 - (not y)) * (2 * h - x * y + 1) for (x, y), h in heights.items())
-        yield ball - last
-
-
 def _bundle_flip(m):
     """A signed permutation P of Z^2 with P M = M^-1 P, or None."""
     inverse = m.inverse()
@@ -226,46 +177,100 @@ def _torus_bundle_spheres(handle):
 
 
 def _sphere_series(spec: GroupSpec):
-    """(num, den), the coefficient tuples of the sphere series num/den of
-    free(n), Z^n or surface(g) on its default letters.
+    """(num, den) of the sphere series num/den of a leaf on its default
+    letters, as sparse {degree: coefficient} maps with den[0] = 1; None for a
+    torus bundle or Z x G.
 
-    free(n): (1+x)/(1-(2n-1)x).  Z^n: ((1+x)/(1-x))^n.  surface(g): Cannon's
-    N/D with N = 1 + 2x + ... + 2x^(2g-1) + x^(2g) and
+    free(n): (1+x)/(1-(2n-1)x).  Z^n: ((1+x)/(1-x))^n.  The Klein bottle has
+    Z^2's: its letters a^+-1 move m by 1 and b^+-1 move n by 1, so
+    |(m, n)| >= |m| + |n|, which a^m b^n attains.  surface(g): Cannon's N/D
+    with N = 1 + 2x + ... + 2x^(2g-1) + x^(2g) and
     D = 1 + (2-4g)(x + ... + x^(2g-1)) + x^(2g) (Cannon, Geom. Dedicata 16,
-    1984; Floyd-Plotnick, Invent. Math. 88, 1987).
+    1984; Floyd-Plotnick, Invent. Math. 88, 1987).  cyclic(m), the trivial
+    group being m = 1: (1 + x - x^ceil(m/2) - x^(floor(m/2)+1))/(1-x), 2 per
+    sphere while 2k < m and 1 at k = m/2, sparse as its degree grows with m.
+
+    heisenberg on x and y (rational by Shapiro, Math. Ann. 285, 1989), from
+    column heights.  Column (x, y) of B(r), the z with (x, y, z) in B(r), is
+    the union of columns (x, y), (x+-1, y) of B(r-1), (x, y-1) shifted by x
+    and (x, y+1) shifted by -x, as (x, y, z)x^+-1 = (x+-1, y, z) and
+    (x, y, z)y^+-1 = (x, y+-1, z+-x).  It is an integer interval [xy - h, h]:
+    a word's z sums, over its y-letters y^d, d times the x reached before;
+    arrangements of one multiset of letters end at one (x, y), adjacent swaps
+    join them, and swapping x^e y^d moves z by ed = +-1, any other swap by 0,
+    so their z fill an interval through 0 (y-letters first) and xy (x-letters
+    first).  (x, y, z) -> (-x, y, -z) and (x, -y, -z) are automorphisms (they
+    negate z1 + z2 + x1 y2 with z) that permute the letters, as inversion
+    does, so (x, y, z) -> (x, y, xy - z), their composite of g^-1, keeps word
+    length, whence the lower end xy - h and h(-x, y) = h(x, -y) = h(x, y) - xy.
+    So h_r = max(h(x, y), h(x+-1, y), h(x, y-1) + x, h(x, y+1) - x) at r-1,
+    and the column holds 2h - xy + 1 elements.
+
+    1. For x, y >= 0 and s = floor((r-x-y)/2), h_r(x, y) = H, the largest
+    (x+i)(y+j) with i, j >= 0 and i + j = s (-inf for s < 0: no column).  Its
+    factors sum to T = x+y+s, so for x <= y, H = floor(T/2) ceil(T/2) when
+    y - x <= s, that is 3y - x <= r, and (x+s)y otherwise.  h >= H:
+    y^-j x^(x+i) y^(y+j) x^-i has x+y+2s <= r letters and ends at
+    (x, y, (x+i)(y+j)).  h <= H by induction on r from h_0(0, 0) = 0: with
+    (i, j) the best pair at radius r-1, each term is at most a product in H.
+    h(x, y) has no larger s; h(x+1, y) and h(x, y+1) - x have s-1, so
+    (x+1+i)(y+j) and (x+i)(y+1+j) - x; h(x-1, y) for x >= 1 is (x-1+i)(y+j);
+    h(x, y-1) + x for y >= 1 is (x+i)(y+j) - i; at x = 0, h(-1, y) =
+    h(1, y) - y = (1+i)(y+j) - y, and at y = 0, h(x, -1) + x = h(x, 1) =
+    (x+i)(1+j), each with i + j = s-1.
+
+    2. Columns (+-x, +-y) hold as many elements, and layer |x| + |y| = n >= 1
+    is four quarter turns of (a, n-a), 0 <= a < n, so B(r) = 1 + 2H(0, 0) +
+    sum_{n=1..r} 4 sum_{a<n} (2H(a, n-a) - a(n-a) + 1), where H(0, 0) =
+    floor(floor(r/2)^2/4).  With s = floor((r-n)/2), H(a, n-a) is (a+s)(n-a)
+    for a <= floor((n-s-1)/2), a(n-a+s) for a > floor((n+s)/2), and
+    floor((n+s)^2/4) between; for 3n <= r only the last occurs.  On a class
+    of n mod 4 and r mod 4, s, these bounds and H are polynomials in n and r,
+    so a layer is a cubic on either side of 3n = r.  With n = 4m + v and
+    r = 12q + p the sides end at m = q + floor((floor(p/3) - v)/4) and
+    3q + floor((p-v)/4), affine in q and never below their starts less 1, so
+    by Faulhaber B(12q + p) is a polynomial of degree <= 4 in q for every
+    q >= 0, fixed by its values at r < 60: B(r) = (31r^4 - 14r^3 + 127r^2 +
+    144r + c(r mod 12))/72, c = (72, 72, 44, 108, 72, 8, 108, 108, 8, 72, 108, 44).
+
+    3. The quartic satisfies the recurrence of (1-x)^5 and, as
+    c(r) + c(r+2) = c(r+3) + c(r+5), c that of (1-x^3)(1+x^2); so B satisfies
+    that of (1-x)^4 (1-x^3)(1+x^2) = (1-x) den, of degree 9, with den =
+    (1-x)^4 (1+x+x^2)(1+x^2) = 1 - 3x + 4x^2 - 5x^3 + 6x^4 - 5x^5 + 4x^6 -
+    3x^7 + x^8.  So den S, S = (1-x) sum_r B(r) x^r, has degree <= 8, and its
+    terms give num = 1 + x + 4x^2 + 11x^3 + 8x^4 + 21x^5 + 6x^6 + 9x^7 + x^8.
     """
     if spec.family == "free":
-        return (1, 1), (1, 1 - 2 * spec.n)
-    if spec.family == "free_abelian":
-        binomials = [math.comb(spec.n, i) for i in range(spec.n + 1)]
-        return tuple(binomials), tuple(-c if i % 2 else c for i, c in enumerate(binomials))
-    inner = 2 * spec.genus - 1
-    return (1, *[2] * inner, 1), (1, *[2 - 4 * spec.genus] * inner, 1)
+        return {0: 1, 1: 1}, {0: 1, 1: 1 - 2 * spec.n}
+    if spec.family in ("free_abelian", "klein_bottle"):
+        n = spec.n if spec.family == "free_abelian" else 2
+        binomials = [math.comb(n, i) for i in range(n + 1)]
+        return dict(enumerate(binomials)), {i: (-1) ** i * c for i, c in enumerate(binomials)}
+    if spec.family == "surface":
+        inner = 2 * spec.genus - 1
+        return dict(enumerate((1, *[2] * inner, 1))), dict(enumerate((1, *[2 - 4 * spec.genus] * inner, 1)))
+    if spec.family == "heisenberg":
+        return dict(enumerate((1, 1, 4, 11, 8, 21, 6, 9, 1))), dict(enumerate((1, -3, 4, -5, 6, -5, 4, -3, 1)))
+    if spec.family in ("cyclic", "trivial"):
+        m = spec.m or 1
+        num = {0: 1, 1: 1}
+        for d in (-(-m // 2), m // 2 + 1):
+            num[d] = num.get(d, 0) - 1
+        return num, {0: 1, 1: -1}
+    return None
 
 
-def _rational_spheres(handle):
-    """sigma(1), sigma(2), ... from the sphere series num/den of the handle's
-    family, with den[0] = 1.
-
-    Coefficient k of num = den * S gives s_k = num_k - sum_{j>=1} den_j s_{k-j}.
-    """
-    num, den = _sphere_series(handle.spec)
-    tail = den[1:]
-    recent = [0] * len(tail)  # s_{k-1}, s_{k-2}, ...; s_j = 0 for j < 0
+def _rational_spheres(num, den):
+    """sigma(1), sigma(2), ... of the sphere series num/den, sparse maps with
+    den[0] = 1: coefficient k of num = den * S gives
+    s_k = num_k - sum_{j>=1} den_j s_{k-j}, one term of num a step."""
+    tail = [(j, d) for j, d in den.items() if j]
+    recent = [0] * max(den)  # s_{k-1}, s_{k-2}, ...; s_j = 0 for j < 0
     for k in itertools.count():
-        s = (num[k] if k < len(num) else 0) - sum(d * r for d, r in zip(tail, recent))
+        s = num.get(k, 0) - sum(d * recent[j - 1] for j, d in tail)
         recent = [s, *recent[:-1]]
         if k:
             yield s
-
-
-def _cyclic_spheres(handle):
-    """sigma(1), sigma(2), ... of cyclic(m) on a and a^-1: 2 while 2k < m,
-    1 at k = m/2 when m is even, then 0.  The trivial group is m = 1.  Each
-    sphere is read off m, so a huge order costs no memory."""
-    m = handle.m
-    for k in itertools.count(1):
-        yield 2 if 2 * k < m else 1 if 2 * k == m else 0
 
 
 def _free_product_spheres(factors):
@@ -299,27 +304,13 @@ def _free_product_spheres(factors):
         yield out[k]
 
 
-# family -> sphere counter for its default generating set
-_SPHERE_COUNTERS = {
-    "cyclic": _cyclic_spheres,
-    "free": _rational_spheres,
-    "free_abelian": _rational_spheres,
-    "heisenberg": _heisenberg_spheres,
-    "surface": _rational_spheres,
-    "torus_bundle": _torus_bundle_spheres,
-    "trivial": _cyclic_spheres,
-}
-
-
 def _plan(handle: GroupHandle, max_elements: int | None):
     """sigma(1), sigma(2), ... of the handle's default generating set without
-    BFS at this node, or None where the node runs BFS.
-
-    A family counter or a free product of planned factors.  A factor without
-    a plan runs BFS on its own default letters, under the same cap: a factor
-    embeds isometrically, so its ball never passes the product's.
-    """
-    if handle.spec.family == "free_product":
+    BFS at this node, or None at a Z x G node.  A Z x G factor of a free
+    product runs BFS on its own letters under the same cap: a factor embeds
+    isometrically, so its ball never passes the product's."""
+    family = handle.spec.family
+    if family == "free_product":
         factors = []
         for factor in handle.factor_handles:
             sizes = _plan(factor, max_elements)
@@ -327,8 +318,10 @@ def _plan(handle: GroupHandle, max_elements: int | None):
                 sizes = map(len, spheres(factor, factor.default_generators(), max_elements))
             factors.append(sizes)
         return _free_product_spheres(factors)
-    counter = _SPHERE_COUNTERS.get(handle.spec.family)
-    return None if counter is None else counter(handle)
+    if family == "torus_bundle":
+        return _torus_bundle_spheres(handle)
+    series = _sphere_series(handle.spec)
+    return None if series is None else _rational_spheres(*series)
 
 
 def growth_table(
@@ -341,10 +334,8 @@ def growth_table(
     """Exact gamma from the spec's counting plan when `gens` is its default
     generating set as a set, else from frontier BFS.
 
-    The plan is a family counter, a cyclic polynomial, or for a free product
-    the series identity 1/S = sum_i 1/S_i - (n-1) over its factors' plans (de
-    la Harpe, *Topics in Geometric Group Theory*, ch. VI); a Klein bottle or
-    Z x G node runs BFS, as a factor on its own letters or as the root.
+    The plan is `_plan`'s; a Z x G node runs BFS, as a factor on its own
+    letters or as the root.
 
     Stops early with ``complete=False`` when a budget runs out: before the
     first ball larger than `max_elements`, or at the first radius reached

@@ -9,7 +9,7 @@ the package.
 """
 
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import count, islice, permutations, product
 
 
 def naive_balls(handle, elements, kmax):
@@ -228,6 +228,46 @@ def surface_class_count(genus, max_len):
 def heisenberg_mul(a, b):
     # (x, y, z) * (x', y', z') = (x+x', y+y', z+z'+x*y')
     return (a[0] + b[0], a[1] + b[1], a[2] + b[2] + a[0] * b[1])
+
+
+def heisenberg_column_heights():
+    """Yield, for r = 0, 1, 2, ..., the heights h_r(x, y) of heisenberg's
+    ball B(r) on x and y over the columns x, y >= 0 that B(r) meets.
+
+    Column (x, y) of B(r), the z with (x, y, z) in B(r), is the integer
+    interval [xy - h, h] (proved in `groupgrowth.cayley._sphere_series`).  As
+    (x, y, z)x^+-1 = (x+-1, y, z) and (x, y, z)y^+-1 = (x, y+-1, z+-x),
+    h_r(x, y) = max(h(x, y), h(x+-1, y), h(x, y-1) + x, h(x, y+1) - x) over
+    the columns of B(r-1), and the reflections (-x, y, -z) and (x, -y, -z)
+    give h(-1, y) = h(1, y) - y and h(x, -1) = h(x, 1) - x.
+    """
+    absent = -float("inf")
+    heights = {(0, 0): 0}
+    for r in count(1):
+        yield heights
+        edges = {}
+        for i in range(r - 1):
+            edges[-1, i] = heights[1, i] - i
+            edges[i, -1] = heights[i, 1] - i
+        get = {**heights, **edges}.get
+        heights = {
+            (x, y): max(get((x, y), absent), get((x - 1, y), absent), get((x + 1, y), absent),
+                        get((x, y - 1), absent) + x, get((x, y + 1), absent) - x)
+            for x in range(r + 1)
+            for y in range(r - x + 1)
+        }
+
+
+def heisenberg_column_spheres(kmax):
+    """sigma(0), ..., sigma(kmax) of heisenberg on x and y from
+    `heisenberg_column_heights`: column (x, y) holds 2h - xy + 1 elements, as
+    do columns (+-x, +-y), so each counts four times, twice on an axis and
+    once at (0, 0)."""
+    balls = [
+        sum((2 - (not x)) * (2 - (not y)) * (2 * h - x * y + 1) for (x, y), h in heights.items())
+        for heights in islice(heisenberg_column_heights(), kmax + 1)
+    ]
+    return (1, *(b - a for a, b in zip(balls, balls[1:])))
 
 
 def torus_bundle_mul(rows, a, b):

@@ -136,8 +136,8 @@ FREE_PRODUCTS = [
     (GroupSpec.free_product(GroupSpec.heisenberg(), Z(2)), 6),
     (GroupSpec.free_product(GroupSpec.surface(2), Z(2), Z(3)), 3),
     (GroupSpec.free_product(GroupSpec.torus_bundle(MatrixZ2(2, 1, 1, 1)), Z(3)), 5),
-    # factors without a plan run BFS on their own letters
     (GroupSpec.free_product(GroupSpec.klein_bottle(), Z(3)), 6),
+    # a Z x G factor has no plan and runs BFS on its own letters
     (GroupSpec.free_product(GroupSpec.direct_product_with_Z(GroupSpec.free(1)), Z(2)), 6),
     (GroupSpec.free_product(GroupSpec.free_product(Z(2), Z(3)), Z(4)), 7),
 ]
@@ -182,18 +182,28 @@ def test_cyclic_leaf_stops_where_bfs_stops(spec, budget, monkeypatch):
     handle = make_group(spec)
     gens = handle.default_generators()
     with monkeypatch.context() as mp:
-        mp.setattr(cayley, "_SPHERE_COUNTERS", {})
+        mp.setattr(cayley, "_plan", lambda handle, max_elements: None)
         bfs = growth_table(handle, gens, 8, **budget)
     bfs_forbidden(monkeypatch)
     planned = growth_table(handle, gens, 8, **budget)
     assert (planned.gamma, planned.complete) == (bfs.gamma, bfs.complete)
 
 
-@pytest.mark.parametrize("spec", [Z(10**12), GroupSpec.free_product(Z(10**12), Z(2))], ids=spec_id)
-def test_cyclic_leaf_of_huge_order(spec):
-    # each cyclic sphere is read off m, so the order costs neither time nor memory
-    handle, table = default_table(spec, 6)
-    assert table.gamma == oracles.naive_ball_sizes(handle, handle.default_generators().elements, 6)
+@pytest.mark.parametrize(
+    "spec,kmax",
+    [
+        pytest.param(spec, kmax, id=spec.describe())
+        for spec, kmax in (
+            (Z(10**12), 6),
+            (GroupSpec.free_product(Z(10**12), Z(2)), 6),
+            (GroupSpec.free_product(Z(10**12), GroupSpec.surface(2)), 3),
+        )
+    ],
+)
+def test_cyclic_leaf_of_huge_order(spec, kmax):
+    # cyclic(m)'s series numerator is sparse, so the order costs neither time nor memory
+    handle, table = default_table(spec, kmax)
+    assert table.gamma == oracles.naive_ball_sizes(handle, handle.default_generators().elements, kmax)
 
 
 def test_shuffled_default_order_takes_the_plan():
@@ -230,9 +240,9 @@ def test_other_generating_set_of_a_free_product_runs_bfs():
     [
         (GroupSpec.free_product(Z(2), Z(2), Z(2)), 8),
         (GroupSpec.free_product(GroupSpec.heisenberg(), Z(2)), 5),
-        # the BFS factor is cut by the cap at the radius where the product's
-        # ball first passes it; the product must stop there
         (GroupSpec.free_product(GroupSpec.klein_bottle(), Z(3)), 5),
+        # the Z x G factor runs BFS and is cut by the cap at the radius where
+        # the product's ball first passes it; the product must stop there
         (GroupSpec.free_product(GroupSpec.direct_product_with_Z(GroupSpec.free(1)), Z(2)), 5),
         (GroupSpec.free_product(Z(2), GroupSpec.direct_product_with_Z(GroupSpec.free(2))), 3),
     ],
@@ -296,7 +306,7 @@ def test_element_budget_truncates():
 
 def test_element_budget_stops_inside_the_overflowing_sphere(monkeypatch):
     # free(2)'s counter forms no product; this counts the products BFS forms
-    monkeypatch.setattr(cayley, "_SPHERE_COUNTERS", {})
+    monkeypatch.setattr(cayley, "_plan", lambda handle, max_elements: None)
     handle = make_group(GroupSpec.free(2))
     gens = handle.default_generators()
     products = 0
@@ -415,8 +425,8 @@ def test_bfs_rejects_letters_without_their_inverses():
     ids=["cyclic3", "klein", "z2_z3", "z_x_free2"],
 )
 def test_unsymmetrized_set_that_holds_every_inverse_counts(spec):
-    # the Klein bottle and Z x free(2) have no counting plan, so BFS runs on
-    # both sets; cyclic(3) and Z2*Z3 take their plan on both
+    # Z x free(2) has no counting plan, so BFS runs on both sets; cyclic(3),
+    # the Klein bottle and Z2*Z3 take their plan on both
     handle = make_group(spec)
     default = handle.default_generators()
     named = default.named()

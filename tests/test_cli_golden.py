@@ -5,7 +5,8 @@
 code, stdout and stderr it gave when recorded, with the directory written
 back as `{dir}`.  A call that writes an `--out` file also records the file's
 text under `out_files`.  The test replays each call through `cli.main` and
-demands all of it back unchanged.
+demands all of it back unchanged.  The heisenberg recordings are also
+checked against references in `oracles`.
 
 After an intended output change, re-record the outputs from the same inputs
 with `PYTHONPATH=src python tests/test_cli_golden.py`.
@@ -14,6 +15,7 @@ with `PYTHONPATH=src python tests/test_cli_golden.py`.
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import pathlib
 import tempfile
@@ -21,7 +23,9 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from groupgrowth import cli
+from groupgrowth import GroupSpec, cli, make_group
+
+import oracles
 
 DATA = pathlib.Path(__file__).with_name("data") / "cli_golden.json"
 CASES = json.loads(DATA.read_text(encoding="utf-8"))
@@ -57,6 +61,43 @@ def replay(case: dict, directory: pathlib.Path) -> dict:
 def test_cli_call_replays_its_recording(case, tmp_path):
     expected = {key: case[key] for key in ("code", "stdout", "stderr", "out_files") if key in case}
     assert replay(case, tmp_path) == expected
+
+
+def series_inverse(series, kmax):
+    """Coefficients 0..kmax of 1/series, for an integer series with constant term 1."""
+    out = [1]
+    for k in range(1, kmax + 1):
+        out.append(-sum(series[j] * out[k - j] for j in range(1, k + 1)))
+    return out
+
+
+def test_heisenberg_recordings_match_the_column_counter():
+    # the recorded heisenberg numbers against the column-height counter in
+    # `oracles`, which shares no code with the package's series, and the
+    # free product also against naive BFS
+    ids = ("growth-heisenberg-k100", "verify-heisenberg", "growth-heisenberg-z2-k6")
+    cases = {case["id"]: json.loads(case["stdout"]) for case in CASES if case["id"] in ids}
+    sigma = oracles.heisenberg_column_spheres(100)
+
+    growth = cases["growth-heisenberg-k100"]
+    assert growth["complete"] and growth["kmax"] == 100
+    assert growth["sigma"] == list(sigma)
+    assert growth["gamma"] == list(itertools.accumulate(sigma))
+
+    verify = cases["verify-heisenberg"]
+    gamma = list(itertools.accumulate(sigma[:6]))
+    assert verify["complete"] and verify["kmax"] == 5
+    assert verify["min_root_bound"] == pytest.approx(min(gamma[k] ** (1 / k) for k in range(1, 6)), abs=1e-11)
+
+    # 1/S = 1/S_heisenberg + 1/S_Z2 - 1 on the union of the letters
+    product = cases["growth-heisenberg-z2-k6"]
+    inverse = [a + b for a, b in zip(series_inverse(sigma, 6), series_inverse((1, 1, 0, 0, 0, 0, 0), 6))]
+    inverse[0] -= 1
+    expected = series_inverse(inverse, 6)
+    assert product["complete"] and product["sigma"] == expected
+    assert product["gamma"] == list(itertools.accumulate(expected))
+    handle = make_group(GroupSpec.free_product(GroupSpec.heisenberg(), GroupSpec.cyclic(2)))
+    assert tuple(product["gamma"]) == oracles.naive_ball_sizes(handle, handle.default_generators().elements, 6)
 
 
 if __name__ == "__main__":

@@ -7,7 +7,9 @@ and (x, -y, -z) on heisenberg, and on a torus bundle (v, n) -> (-v, n) and,
 when the counter finds a signed permutation P with P M = M^-1 P, (Pv, -n).
 They check that the counters of free groups, surface groups, Z^n, heisenberg
 and torus bundles give the same balls as the plain BFS kernel and the naive
-oracle, under every budget, without forming a product.
+oracle, under every budget, without forming a product, and check each step of
+the derivation of heisenberg's sphere series against the column counter
+`oracles.heisenberg_column_spheres`.
 """
 
 import itertools
@@ -15,10 +17,20 @@ import pathlib
 import random
 import sys
 import types
+from fractions import Fraction
 
 import pytest
 
-from groupgrowth import GroupSpec, MatrixZ2, cayley, growth_table, make_generating_set, make_group
+from groupgrowth import (
+    GroupSpec,
+    ManifoldSpec,
+    MatrixZ2,
+    cayley,
+    classify_growth,
+    growth_table,
+    make_generating_set,
+    make_group,
+)
 
 import oracles
 
@@ -107,9 +119,9 @@ def shuffled_defaults(handle, seed=0):
 
 
 def plain_table(handle, gens, kmax, **kwargs):
-    """growth_table with no family counter, so the BFS kernel runs."""
+    """growth_table with no counting plan, so the BFS kernel runs."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cayley, "_SPHERE_COUNTERS", {})
+        mp.setattr(cayley, "_plan", lambda handle, max_elements: None)
         return growth_table(handle, gens, kmax, **kwargs)
 
 
@@ -256,10 +268,10 @@ def test_other_generating_sets_run_the_plain_kernel(spec, letters, kmax, monkeyp
     handle = make_group(spec)
     gens = make_generating_set(handle, letters)
 
-    def no_counter(handle):
-        raise AssertionError("family counter used on a non-default generating set")
+    def no_plan(handle, max_elements):
+        raise AssertionError("counting plan used on a non-default generating set")
 
-    monkeypatch.setitem(cayley._SPHERE_COUNTERS, spec.family, no_counter)
+    monkeypatch.setattr(cayley, "_plan", no_plan)
     table = growth_table(handle, gens, kmax)
     assert table.gamma == oracles.naive_ball_sizes(handle, gens.elements, kmax)
 
@@ -398,6 +410,9 @@ def test_large_kmax_under_a_cap_matches_the_plain_kernel(spec, cap):
         (GroupSpec.free(2), 8),
         (GroupSpec.surface(2), 5),
         (GroupSpec.surface(3), 4),
+        (GroupSpec.klein_bottle(), 12),
+        (GroupSpec.cyclic(9), 8),
+        (GroupSpec.cyclic(10), 8),
     ],
     ids=lambda v: v.describe() if isinstance(v, GroupSpec) else str(v),
 )
@@ -435,6 +450,99 @@ def test_heisenberg_columns_are_intervals_through_the_xy_reflection():
             lo, hi = min(column), max(column)
             assert column == set(range(lo, hi + 1)), (r, x, y)
             assert lo == x * y - hi, (r, x, y)
+
+
+# --- heisenberg's sphere series, step by step as `cayley._sphere_series` derives it
+
+
+def closed_form_height(r, x, y):
+    """Step 1: h_r(x, y) for x, y >= 0, the largest (x+i)(y+j) with i + j = s."""
+    x, y = sorted((x, y))
+    s = (r - x - y) // 2
+    t = x + y + s
+    return (t // 2) * ((t + 1) // 2) if y - x <= s else (x + s) * y
+
+
+HEISENBERG_C = (72, 72, 44, 108, 72, 8, 108, 108, 8, 72, 108, 44)
+
+
+def quasi_polynomial_ball(r):
+    """Step 2: B(r) = (31r^4 - 14r^3 + 127r^2 + 144r + c(r mod 12))/72."""
+    value = 31 * r**4 - 14 * r**3 + 127 * r**2 + 144 * r + HEISENBERG_C[r % 12]
+    assert value % 72 == 0, r
+    return value // 72
+
+
+def polynomial_product(*factors):
+    out = [1]
+    for factor in factors:
+        out = [sum(out[i] * factor[k - i] for i in range(len(out)) if 0 <= k - i < len(factor))
+               for k in range(len(out) + len(factor) - 1)]
+    return out
+
+
+def test_heisenberg_closed_form_heights_match_the_column_counter():
+    for r, heights in zip(range(61), oracles.heisenberg_column_heights()):
+        assert len(heights) == (r + 1) * (r + 2) // 2
+        for (x, y), h in heights.items():
+            assert h == closed_form_height(r, x, y), (r, x, y)
+    # the lower bound's word y^-j x^(x+i) y^(y+j) x^-i, on the oracle product alone
+    for r in range(13):
+        for x, y in itertools.product(range(r + 1), repeat=2):
+            s = (r - x - y) // 2
+            for i in range(s + 1):
+                j = s - i
+                word = [(0, -1, 0)] * j + [(1, 0, 0)] * (x + i) + [(0, 1, 0)] * (y + j) + [(-1, 0, 0)] * i
+                end = (0, 0, 0)
+                for letter in word:
+                    end = oracles.heisenberg_mul(end, letter)
+                assert len(word) <= r and end == (x, y, (x + i) * (y + j))
+
+
+def test_heisenberg_quasi_polynomial_sums_the_closed_form_heights():
+    # B(12q + p) is a polynomial of degree <= 4 in q, so r < 60 fixes it
+    for r in range(60):
+        ball = sum(
+            (2 - (not x)) * (2 - (not y)) * (2 * closed_form_height(r, x, y) - x * y + 1)
+            for x in range(r + 1)
+            for y in range(r - x + 1)
+        )
+        assert ball == quasi_polynomial_ball(r), r
+
+
+def test_heisenberg_quasi_polynomial_matches_the_series_balls():
+    handle = make_group(GroupSpec.heisenberg())
+    table = growth_table(handle, handle.default_generators(), 300)
+    assert table.gamma == tuple(quasi_polynomial_ball(r) for r in range(301))
+    # step 3: c satisfies the recurrence of (1-x^3)(1+x^2), so den = (1-x)^4 (1+x+x^2)(1+x^2)
+    c = HEISENBERG_C * 2
+    assert all(c[r] + c[r + 2] == c[r + 3] + c[r + 5] for r in range(12))
+    num, den = cayley._sphere_series(GroupSpec.heisenberg())
+    assert [den[j] for j in range(len(den))] == polynomial_product(*[(1, -1)] * 4, (1, 1, 1), (1, 0, 1))
+    assert [num[j] for j in range(len(num))] == polynomial_product(den, table.sigma)[:9]
+
+
+def test_heisenberg_series_matches_the_column_counter():
+    handle = make_group(GroupSpec.heisenberg())
+    table = growth_table(handle, handle.default_generators(), 120)
+    assert table.sigma == oracles.heisenberg_column_spheres(120)
+
+
+def test_heisenberg_den_has_a_fourth_order_pole_at_one():
+    # S = num/den has a pole of order 4 at x = 1, so B's series S/(1-x) one of
+    # order 5 and B a quartic, the degree the trichotomy gives Nil manifolds
+    num, den = (
+        [series[j] for j in range(len(series))] for series in cayley._sphere_series(GroupSpec.heisenberg())
+    )
+    order = 0
+    while sum(den) == 0:
+        # divide by 1 - x: the quotient's coefficients are den's partial sums
+        den = list(itertools.accumulate(den))[:-1]
+        order += 1
+    assert order == 4 and sum(num) != 0
+    assert order == classify_growth(ManifoldSpec.nil_manifold()).degree
+    # B's leading coefficient num(1)/(den(1) 4!) is the quartic's 31/72
+    assert Fraction(sum(num), sum(den) * 24) == Fraction(31, 72)
 
 
 def product_counts(spec, kmax, seed):
