@@ -1,8 +1,9 @@
 """Exact Cayley-ball counts: a counting plan per spec node, or breadth-first search.
 
-`growth_table` chooses its counting path in one place, `_plan`.  On the
-default generating set (equal as a set, in any order), a spec node is planned
-as one of these, none of which forms an element of the group it counts:
+`growth_table` chooses its counting path in one place: the default generating
+set (equal as a set, in any order) goes to `_plan`, any other set to
+`spheres`, a frontier BFS.  `_plan` counts every spec node on its default
+letters, and none but a Z x G node forms an element of the group it counts:
 
 * a leaf other than a torus bundle (free groups, Z^n, surface groups,
   heisenberg, the Klein bottle, cyclic and trivial groups), by one integer
@@ -10,14 +11,14 @@ as one of these, none of which forms an element of the group it counts:
 * a torus bundle, by t-layers of sign classes, over n >= 0 when a signed
   permutation P has P M = M^-1 P: (v, n) -> (-v, n) and (Pv, -n), as
   P M^n = M^-n P, permute the letters, so word length is constant on orbits;
-* a free product of n factors, from the identity 1/S = sum_i 1/S_i - (n-1)
-  between sphere series, which holds coefficient by coefficient (de la Harpe,
-  *Topics in Geometric Group Theory*, ch. VI).  A Z x G factor, which has no
-  plan, runs BFS on its own default letters.
+* a free product of n factors, from its factors' plans by the identity
+  1/S = sum_i 1/S_i - (n-1) between sphere series, which holds coefficient by
+  coefficient (de la Harpe, *Topics in Geometric Group Theory*, ch. VI);
+* a Z x G node, whether the root or a factor, by `spheres` on its default
+  letters under the root's element cap.
 
-Any other generating set, and a Z x G root, runs `spheres`, a frontier BFS.
-Either way `growth_table` sums the sphere sizes into balls in one place, and
-applies the element cap and the time budget there.
+`growth_table` sums the sphere sizes into balls in one place, and applies the
+element cap and the time budget there.
 
 BFS dedups spheres on element payloads, which every family keeps in canonical
 hashable form, so no product is encoded to bytes.  Because every generator
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 
@@ -177,9 +179,9 @@ def _torus_bundle_spheres(handle):
 
 
 def _sphere_series(spec: GroupSpec):
-    """(num, den) of the sphere series num/den of a leaf on its default
-    letters, as sparse {degree: coefficient} maps with den[0] = 1; None for a
-    torus bundle or Z x G.
+    """(num, den) of the sphere series num/den of a leaf other than a torus
+    bundle on its default letters, as sparse {degree: coefficient} maps with
+    den[0] = 1.
 
     free(n): (1+x)/(1-(2n-1)x).  Z^n: ((1+x)/(1-x))^n.  The Klein bottle has
     Z^2's: its letters a^+-1 move m by 1 and b^+-1 move n by 1, so
@@ -257,7 +259,6 @@ def _sphere_series(spec: GroupSpec):
         for d in (-(-m // 2), m // 2 + 1):
             num[d] = num.get(d, 0) - 1
         return num, {0: 1, 1: -1}
-    return None
 
 
 def _rational_spheres(num, den):
@@ -273,55 +274,44 @@ def _rational_spheres(num, den):
             yield s
 
 
+def _inverse(coefficients):
+    """t_1, t_2, ... of 1/S from s_1, s_2, ... of an integer series S with
+    s_0 = 1: coefficient k of S * (1/S) = 1 gives t_k = -sum_{j=1..k} s_j t_{k-j}.
+    One term is yielded per term read, so the inverse ends where S ends."""
+    s, t = [1], [1]
+    for size in coefficients:
+        s.append(size)
+        t.append(-sum(map(operator.mul, itertools.islice(s, 1, None), reversed(t))))
+        yield t[-1]
+
+
 def _free_product_spheres(factors):
     """sigma(1), sigma(2), ... of a free product from its factors' sphere sizes.
 
     On the union of the factors' letters the sphere series obey
     1/S = sum_i 1/S_i - (n-1) coefficient by coefficient, so sphere k needs
-    sphere k of every factor and nothing beyond.  Every series has constant
-    term 1, so each inverse has integer coefficients: coefficient k of
-    S * (1/S) = 1 gives t_k = -sum_{j=1..k} s_j t_{k-j}.  A factor that ends
-    after an empty sphere is exhausted and reads 0 from then on; one that ends
-    without one was cut by its cap, and the product stops there too.
+    sphere k of every factor and nothing beyond; the constant term of the sum
+    is n - (n-1) = 1.  A factor that ends was cut by the root's cap (no factor
+    ends after an empty sphere), and the product stops there too.
     """
-    series = [[1] for _ in factors]  # S_i
-    inverses = [[1] for _ in factors]  # 1/S_i
-    total = [1]  # sum_i 1/S_i - (n-1)
-    out = [1]  # S
-    for k in itertools.count(1):
-        term = 0
-        for sizes, s, t in zip(factors, series, inverses):
-            size = next(sizes, None)
-            if size is None:
-                if s[-1]:
-                    return
-                size = 0
-            s.append(size)
-            t.append(-sum(s[j] * t[k - j] for j in range(1, k + 1)))
-            term += t[k]
-        total.append(term)
-        out.append(-sum(total[j] * out[k - j] for j in range(1, k + 1)))
-        yield out[k]
+    return _inverse(map(sum, zip(*map(_inverse, factors))))
 
 
 def _plan(handle: GroupHandle, max_elements: int | None):
-    """sigma(1), sigma(2), ... of the handle's default generating set without
-    BFS at this node, or None at a Z x G node.  A Z x G factor of a free
-    product runs BFS on its own letters under the same cap: a factor embeds
-    isometrically, so its ball never passes the product's."""
+    """sigma(1), sigma(2), ... of the handle's default generating set.
+
+    A free product streams from its factors' plans, a torus bundle from its
+    t-layers, and any other leaf from its sphere series.  A Z x G node, root
+    or factor, runs BFS on its default letters under the root's cap: a factor
+    embeds isometrically, so its ball never passes the product's."""
     family = handle.spec.family
     if family == "free_product":
-        factors = []
-        for factor in handle.factor_handles:
-            sizes = _plan(factor, max_elements)
-            if sizes is None:
-                sizes = map(len, spheres(factor, factor.default_generators(), max_elements))
-            factors.append(sizes)
-        return _free_product_spheres(factors)
+        return _free_product_spheres([_plan(factor, max_elements) for factor in handle.factor_handles])
     if family == "torus_bundle":
         return _torus_bundle_spheres(handle)
-    series = _sphere_series(handle.spec)
-    return None if series is None else _rational_spheres(*series)
+    if family == "direct_product_with_Z":
+        return map(len, spheres(handle, handle.default_generators(), max_elements))
+    return _rational_spheres(*_sphere_series(handle.spec))
 
 
 def growth_table(
@@ -331,27 +321,22 @@ def growth_table(
     max_elements: int | None = None,
     max_seconds: float | None = None,
 ) -> GrowthTable:
-    """Exact gamma from the spec's counting plan when `gens` is its default
-    generating set as a set, else from frontier BFS.
-
-    The plan is `_plan`'s; a Z x G node runs BFS, as a factor on its own
-    letters or as the root.
+    """Exact gamma from `_plan` when `gens` is the default generating set as
+    a set, else from frontier BFS over `gens`.
 
     Stops early with ``complete=False`` when a budget runs out: before the
     first ball larger than `max_elements`, or at the first radius reached
     after `max_seconds`.  The table is truncated at the last ball counted in
     full.  ClosureBudgetExceeded arises only on BFS, from a surface group
     whose canonicalization blows its closure budget: on a generating set
-    other than the default one, at a Z x G node, or in a BFS factor of a
-    free product.
+    other than the default one, or at a Z x G node, root or factor.
     """
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
     t0 = time.monotonic()
-    sizes = None
     if set(gens.elements) == set(handle.default_generators().elements):
         sizes = _plan(handle, max_elements)
-    if sizes is None:
+    else:
         sizes = map(len, spheres(handle, gens, max_elements))
     cap = math.inf if max_elements is None else max_elements
     gamma = [1]

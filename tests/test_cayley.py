@@ -137,7 +137,7 @@ FREE_PRODUCTS = [
     (GroupSpec.free_product(GroupSpec.surface(2), Z(2), Z(3)), 3),
     (GroupSpec.free_product(GroupSpec.torus_bundle(MatrixZ2(2, 1, 1, 1)), Z(3)), 5),
     (GroupSpec.free_product(GroupSpec.klein_bottle(), Z(3)), 6),
-    # a Z x G factor has no plan and runs BFS on its own letters
+    # a Z x G factor is planned by BFS on its own letters
     (GroupSpec.free_product(GroupSpec.direct_product_with_Z(GroupSpec.free(1)), Z(2)), 6),
     (GroupSpec.free_product(GroupSpec.free_product(Z(2), Z(3)), Z(4)), 7),
 ]
@@ -156,6 +156,18 @@ def test_free_product_series_matches_full_bfs(spec, kmax):
     table = growth_table(handle, gens, kmax)
     assert table.gamma == expected
     assert table.complete
+
+
+def test_series_inverse_matches_closed_forms():
+    # Z's (1+x)/(1-x) inverts to 1 - 2x + 2x^2 - ..., free(2)'s (1+x)/(1-3x) to 1 - 4x + 4x^2 - ...
+    z = [2] * 12
+    free2 = [4 * 3 ** (k - 1) for k in range(1, 13)]
+    assert list(cayley._inverse(z)) == [2 * (-1) ** k for k in range(1, 13)]
+    assert list(cayley._inverse(free2)) == [4 * (-1) ** k for k in range(1, 13)]
+    assert list(cayley._inverse(cayley._inverse(free2))) == free2
+    # one term out per term in: a free product stops where a factor cut by the cap stops
+    for n in range(13):
+        assert len(list(cayley._inverse(iter(free2[:n])))) == n
 
 
 def test_z2_star_z2_spheres_stay_at_two():
@@ -182,7 +194,7 @@ def test_cyclic_leaf_stops_where_bfs_stops(spec, budget, monkeypatch):
     handle = make_group(spec)
     gens = handle.default_generators()
     with monkeypatch.context() as mp:
-        mp.setattr(cayley, "_plan", lambda handle, max_elements: None)
+        mp.setattr(cayley, "_plan", lambda h, cap: map(len, cayley.spheres(h, gens, cap)))
         bfs = growth_table(handle, gens, 8, **budget)
     bfs_forbidden(monkeypatch)
     planned = growth_table(handle, gens, 8, **budget)
@@ -306,9 +318,9 @@ def test_element_budget_truncates():
 
 def test_element_budget_stops_inside_the_overflowing_sphere(monkeypatch):
     # free(2)'s counter forms no product; this counts the products BFS forms
-    monkeypatch.setattr(cayley, "_plan", lambda handle, max_elements: None)
     handle = make_group(GroupSpec.free(2))
     gens = handle.default_generators()
+    monkeypatch.setattr(cayley, "_plan", lambda h, cap: map(len, cayley.spheres(h, gens, cap)))
     products = 0
     mul = handle.mul
 
@@ -425,8 +437,8 @@ def test_bfs_rejects_letters_without_their_inverses():
     ids=["cyclic3", "klein", "z2_z3", "z_x_free2"],
 )
 def test_unsymmetrized_set_that_holds_every_inverse_counts(spec):
-    # Z x free(2) has no counting plan, so BFS runs on both sets; cyclic(3),
-    # the Klein bottle and Z2*Z3 take their plan on both
+    # every spec takes its plan on both sets, Z x free(2)'s being BFS on its
+    # default letters; ball_elements and is_generating run BFS on the set given
     handle = make_group(spec)
     default = handle.default_generators()
     named = default.named()
