@@ -167,7 +167,7 @@ def test_series_inverse_matches_closed_forms():
     assert list(cayley._inverse(cayley._inverse(free2))) == free2
     # one term out per term in: a free product stops where a factor cut by the cap stops
     for n in range(13):
-        assert len(list(cayley._inverse(iter(free2[:n])))) == n
+        assert len(list(cayley._inverse(free2[:n]))) == n
 
 
 def test_z2_star_z2_spheres_stay_at_two():
@@ -339,6 +339,30 @@ def test_element_budget_stops_inside_the_overflowing_sphere(monkeypatch):
     products = 0
     assert growth_table(handle, gens, 3).gamma == (1, 5, 17, 53)
     assert products == 4 + 16 + 48
+
+
+@pytest.mark.parametrize("factor", [False, True], ids=["root", "factor"])
+def test_z_x_g_plan_stops_inside_the_overflowing_sphere(factor):
+    # a Z x G node's plan is BFS under the root's cap, as the root or as a
+    # factor: in (Z x free(2)) * Z2 the cap of 50 falls between the product's
+    # B(2) = 42 and the factor's B(3) = 99
+    zxg = GroupSpec.direct_product_with_Z(GroupSpec.free(2))
+    handle = make_group(GroupSpec.free_product(zxg, Z(2)) if factor else zxg)
+    node = handle.factor_handles[0] if factor else handle
+    products = 0
+    mul = node.mul
+
+    def counting_mul(a, b):
+        nonlocal products
+        products += 1
+        return mul(a, b)
+
+    node.mul = counting_mul
+    table = growth_table(handle, handle.default_generators(), 8, max_elements=50)
+    assert (table.gamma, table.complete) == (((1, 8, 42) if factor else (1, 7, 29)), False)
+    # the node's spheres 1 and 2 take 6 + 6*6 products; sphere 3 would take 22*6 more,
+    # but the cap of 50 is passed after its 22nd new element
+    assert 6 + 36 < products < 6 + 36 + 132
 
 
 def test_zero_time_budget():
