@@ -2,23 +2,25 @@
 
 `growth_table` chooses its counting path in one place: the default generating
 set (equal as a set, in any order) goes to `_plan`, any other set to
-`spheres`, a frontier BFS.  `_plan` counts every spec node on its default
-letters, and none but a Z x G node forms an element of the group it counts:
+`spheres`, a frontier BFS.  It sums the sphere sizes into balls in one place,
+and applies the element cap and the time budget there.  `_plan` counts every
+spec node on its default letters, and none but a Z x G node forms an element
+of the group it counts:
 
 * a leaf other than a torus bundle (free groups, Z^n, surface groups,
-  heisenberg, the Klein bottle, cyclic and trivial groups), by one integer
-  recurrence from its rational sphere series (`_sphere_series`);
+  heisenberg, the Klein bottle, cyclic and trivial groups) has a rational
+  sphere series num/den, given with its sources by `_sphere_series`, and
+  `_quotient` divides it out one term at a time;
+* a free product of n factors obeys 1/S = sum_i 1/S_i - (n-1) between sphere
+  series, coefficient by coefficient (de la Harpe, *Topics in Geometric Group
+  Theory*, ch. VI), so `_quotient` inverts each factor's series and then their
+  sum: sphere k needs sphere k of each factor, and the product stops where a
+  factor cut by the root's cap stops;
 * a torus bundle, by t-layers of sign classes, over n >= 0 when a signed
   permutation P has P M = M^-1 P: (v, n) -> (-v, n) and (Pv, -n), as
   P M^n = M^-n P, permute the letters, so word length is constant on orbits;
-* a free product of n factors, from its factors' plans by the identity
-  1/S = sum_i 1/S_i - (n-1) between sphere series, which holds coefficient by
-  coefficient (de la Harpe, *Topics in Geometric Group Theory*, ch. VI);
 * a Z x G node, whether the root or a factor, by `spheres` on its default
   letters under the root's element cap.
-
-`growth_table` sums the sphere sizes into balls in one place, and applies the
-element cap and the time budget there.
 
 BFS dedups spheres on element payloads, which every family keeps in canonical
 hashable form, so no product is encoded to bytes.  Because every generator
@@ -31,7 +33,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 import time
 from dataclasses import dataclass, field
 
@@ -261,57 +262,38 @@ def _sphere_series(spec: GroupSpec):
         return num, {0: 1, 1: -1}
 
 
-def _rational_spheres(num, den):
-    """sigma(1), sigma(2), ... of the sphere series num/den, sparse maps with
-    den[0] = 1: coefficient k of num = den * S gives
-    s_k = num_k - sum_{j>=1} den_j s_{k-j}, one term of num a step."""
-    tail = [(j, d) for j, d in den.items() if j]
-    recent = [0] * max(den)  # s_{k-1}, s_{k-2}, ...; s_j = 0 for j < 0
-    for k in itertools.count():
-        s = num.get(k, 0) - sum(d * recent[j - 1] for j, d in tail)
-        recent = [s, *recent[:-1]]
-        if k:
-            yield s
+def _quotient(num, den):
+    """s_1, s_2, ... of the series num/den, where `num` is a sparse
+    {degree: coefficient} map and `den` yields d_1, d_2, ... with d_0 = 1.
 
-
-def _inverse(coefficients):
-    """t_1, t_2, ... of 1/S from s_1, s_2, ... of an integer series S with
-    s_0 = 1: coefficient k of S * (1/S) = 1 gives t_k = -sum_{j=1..k} s_j t_{k-j}.
-    One term is yielded per term read, so the inverse ends where S ends."""
-    s, t = [1], [1]
-    for size in coefficients:
-        s.append(size)
-        t.append(-sum(map(operator.mul, itertools.islice(s, 1, None), reversed(t))))
-        yield t[-1]
-
-
-def _free_product_spheres(factors):
-    """sigma(1), sigma(2), ... of a free product from its factors' sphere sizes.
-
-    On the union of the factors' letters the sphere series obey
-    1/S = sum_i 1/S_i - (n-1) coefficient by coefficient, so sphere k needs
-    sphere k of every factor and nothing beyond; the constant term of the sum
-    is n - (n-1) = 1.  A factor that ends was cut by the root's cap (no factor
-    ends after an empty sphere), and the product stops there too.
-    """
-    return _inverse(map(sum, zip(*map(_inverse, factors))))
+    Coefficient k of num = den * S gives s_k = num_k - sum_{j=1..k} d_j s_{k-j},
+    summed over the nonzero d_j read so far, so a finite den padded with zeros
+    costs O(its terms) a step.  One term is yielded per den term read, so the
+    quotient ends where den ends."""
+    s = [num.get(0, 0)]
+    terms = []  # (j, d_j) for each nonzero d_j
+    for k, d in enumerate(den, 1):
+        if d:
+            terms.append((k, d))
+        s.append(num.get(k, 0) - sum(dj * s[k - j] for j, dj in terms))
+        yield s[k]
 
 
 def _plan(handle: GroupHandle, max_elements: int | None):
-    """sigma(1), sigma(2), ... of the handle's default generating set.
-
-    A free product streams from its factors' plans, a torus bundle from its
-    t-layers, and any other leaf from its sphere series.  A Z x G node, root
-    or factor, runs BFS on its default letters under the root's cap: a factor
-    embeds isometrically, so its ball never passes the product's."""
+    """sigma(1), sigma(2), ... of the handle's default generating set.  Only a
+    Z x G node forms elements, and it stops inside the sphere that would pass
+    `max_elements`."""
     family = handle.spec.family
     if family == "free_product":
-        return _free_product_spheres([_plan(factor, max_elements) for factor in handle.factor_handles])
+        # 1/S = sum_i 1/S_i - (n-1): the constant terms sum to n - (n-1) = 1
+        inverses = [_quotient({0: 1}, _plan(factor, max_elements)) for factor in handle.factor_handles]
+        return _quotient({0: 1}, map(sum, zip(*inverses)))
     if family == "torus_bundle":
         return _torus_bundle_spheres(handle)
     if family == "direct_product_with_Z":
         return map(len, spheres(handle, handle.default_generators(), max_elements))
-    return _rational_spheres(*_sphere_series(handle.spec))
+    num, den = _sphere_series(handle.spec)
+    return _quotient(num, map(den.get, itertools.count(1), itertools.repeat(0)))
 
 
 def growth_table(
@@ -321,15 +303,14 @@ def growth_table(
     max_elements: int | None = None,
     max_seconds: float | None = None,
 ) -> GrowthTable:
-    """Exact gamma from `_plan` when `gens` is the default generating set as
-    a set, else from frontier BFS over `gens`.
+    """Exact gamma over `gens`, by `_plan` when `gens` is the default
+    generating set as a set, else by frontier BFS.
 
     Stops early with ``complete=False`` when a budget runs out: before the
     first ball larger than `max_elements`, or at the first radius reached
     after `max_seconds`.  The table is truncated at the last ball counted in
-    full.  ClosureBudgetExceeded arises only on BFS, from a surface group
-    whose canonicalization blows its closure budget: on a generating set
-    other than the default one, or at a Z x G node, root or factor.
+    full.  ClosureBudgetExceeded arises only where a surface word is formed:
+    on BFS, or at a Z x G node.
     """
     if kmax < 0:
         raise ValueError("kmax must be >= 0")

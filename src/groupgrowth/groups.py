@@ -388,13 +388,7 @@ class GroupHandle:
 
     A handle holds element arithmetic, and for some families an exact
     generation test (`generates`).  How balls are counted is
-    `cayley.growth_table`'s choice: BFS over `mul` on any other set, and on
-    the default generating set a counting plan per spec node.  A torus bundle
-    counts t-layers, a free product combines its factors' sphere sizes by
-    1/S = sum_i 1/S_i - (n-1) (de la Harpe, *Topics in Geometric Group
-    Theory*, ch. VI), and every other leaf reads its sphere sizes off a
-    rational sphere series of its parameters; none of these calls `mul`.  A
-    Z x G node, root or factor, is planned by BFS over its own `mul`.
+    `cayley.growth_table`'s choice.
     """
 
     identity = None

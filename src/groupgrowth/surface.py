@@ -97,7 +97,10 @@ def geodesic_closure(word, relator: SurfaceRelator):
     is processed first, its swaps left to right, so on a word that is not
     Dehn-reduced that swap is ``dehn_reduce``'s next step: the closure of a
     word is the closure of its Dehn reduction (see the module docstring).
-    Raises ClosureBudgetExceeded past DEFAULT_CLOSURE_BUDGET words.
+    Raises ClosureBudgetExceeded past DEFAULT_CLOSURE_BUDGET words.  The
+    closure grows exponentially with the word's length: on genus 2,
+    (a1 b1 a1' b1')^m took about 0.5 s at m = 12 and 2.6 s at m = 14 (2-vCPU
+    host), and at m = 16 the budget stops it after about 1.5-2 s.
     """
     w = tuple(word)
     seen = {w}
@@ -120,7 +123,8 @@ def surface_canonical(word, relator: SurfaceRelator) -> Word:
     """Lexicographically least word in the half-swap closure of a Dehn-reduced word.
 
     Letter order is a < a' < b < b' < ...; since words in one closure share a
-    length, this is a plain lexicographic minimum.
+    length, this is a plain lexicographic minimum.  It costs what
+    ``geodesic_closure`` costs, which is exponential in the word's length.
     """
     closure = geodesic_closure(word, relator)
     return min(closure, key=lambda u: tuple(letter_rank(x) for x in u))

@@ -5,8 +5,9 @@
 code, stdout and stderr it gave when recorded, with the directory written
 back as `{dir}`.  A call that writes an `--out` file also records the file's
 text under `out_files`.  The test replays each call through `cli.main` and
-demands all of it back unchanged.  The heisenberg recordings are also
-checked against references in `oracles`.
+demands all of it back unchanged.  The numbers of the heisenberg recordings
+and of most other `growth` and `verify` recordings are also checked against
+references in `oracles`.
 
 After an intended output change, re-record the outputs from the same inputs
 with `PYTHONPATH=src python tests/test_cli_golden.py`.
@@ -17,6 +18,7 @@ from __future__ import annotations
 import io
 import itertools
 import json
+import math
 import pathlib
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -98,6 +100,69 @@ def test_heisenberg_recordings_match_the_column_counter():
     assert product["gamma"] == list(itertools.accumulate(expected))
     handle = make_group(GroupSpec.free_product(GroupSpec.heisenberg(), GroupSpec.cyclic(2)))
     assert tuple(product["gamma"]) == oracles.naive_ball_sizes(handle, handle.default_generators().elements, 6)
+
+
+def flag(argv, name):
+    return int(argv[argv.index(name) + 1]) if name in argv else None
+
+
+def naive_reference(case):
+    handle = make_group(GroupSpec.from_dict(case["files"]["spec.json"]))
+    return map(len, oracles.naive_balls(handle, handle.default_generators().elements, flag(case["argv"], "--kmax")))
+
+
+def test_recorded_tables_match_independent_references():
+    """The gamma, `complete` and `min_root_bound` of recorded `growth` and
+    `verify` calls against references in `oracles` that never run the
+    package's series division.  Unaudited: `growth-surface2-k5` and
+    `growth-surface3-k4`, as `surface_class_count` takes 26.8 s and 7.1 s on
+    them; the heisenberg recordings are audited above."""
+    surface2 = [oracles.surface_class_count(2, k)[0] for k in range(5)]
+    # 1/S = 1/S_surface + 1/S_Z2 + 1/S_Z3 - 2, over the audited surface spheres
+    sigma = [1, *(b - a for a, b in zip(surface2, surface2[1:]))]
+    inverse = [sum(terms) for terms in zip(*(series_inverse(s, 4) for s in (sigma, (1, 1, 0, 0, 0), (1, 2, 0, 0, 0))))]
+    inverse[0] -= 2
+    references = {
+        **dict.fromkeys(
+            ("verify-free2", "growth-free2-out", "growth-free2-window", "growth-free2-window-budget-cut"),
+            lambda case: (oracles.free_ball(2, k) for k in itertools.count()),
+        ),
+        **dict.fromkeys(("growth-trivial", "growth-cyclic1"), lambda case: itertools.repeat(1)),
+        "verify-z2-z2": lambda case: map(oracles.dihedral_ball, itertools.count()),
+        **dict.fromkeys(
+            (
+                "verify-z2-z3",
+                "verify-z2-z2-z2",
+                "growth-z2-z2-z2-max-elements",
+                "verify-z3-z",
+                "growth-free-product-name-collision",
+            ),
+            naive_reference,
+        ),
+        **dict.fromkeys(("verify-surface2", "growth-surface2-truncated"), lambda case: surface2),
+        "verify-surface2-z2-z3": lambda case: itertools.accumulate(series_inverse(inverse, 4)),
+    }
+    cases = {case["id"]: case for case in CASES}
+    for case_id, reference in references.items():
+        case = cases[case_id]
+        kmax, cap = flag(case["argv"], "--kmax"), flag(case["argv"], "--max-elements") or math.inf
+        gamma = []
+        for ball in itertools.islice(reference(case), kmax + 1):
+            if ball > cap:
+                break
+            gamma.append(ball)
+        # a complete table reaches kmax; a cut one stops below the first ball past the cap
+        complete = len(gamma) == kmax + 1
+        assert complete or ball > cap, case_id
+        report = json.loads(case["stdout"])
+        assert (report["kmax"], report["complete"]) == (len(gamma) - 1, complete), case_id
+        if case["argv"][0] == "growth":
+            assert report["gamma"] == gamma, case_id
+            assert report["sigma"] == [1, *(b - a for a, b in zip(gamma, gamma[1:]))], case_id
+        else:
+            # stdout keeps 12 significant digits
+            roots = [gamma[k] ** (1 / k) for k in range(1, kmax + 1)]
+            assert report["min_root_bound"] == pytest.approx(min(roots), rel=1e-11), case_id
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from groupgrowth import surface
+from groupgrowth import GroupSpec, make_group, surface
 from groupgrowth.errors import ClosureBudgetExceeded
 from groupgrowth.surface import (
     SurfaceRelator,
@@ -72,6 +72,14 @@ def test_closure_budget_raises(monkeypatch):
     monkeypatch.setattr(surface, "DEFAULT_CLOSURE_BUDGET", 1)
     with pytest.raises(ClosureBudgetExceeded):
         geodesic_closure((1, 2, -1, -2), R2)
+
+
+def test_closure_budget_stops_an_exponential_closure():
+    # (a1 b1 a1' b1')^16 passes the real budget after a second or two; its
+    # closure grows exponentially with m, and m = 14 already takes seconds
+    handle = make_group(GroupSpec.surface(2))
+    with pytest.raises(ClosureBudgetExceeded, match=f"exceeded {surface.DEFAULT_CLOSURE_BUDGET} words"):
+        handle.mul((), (1, 2, -1, -2) * 16)
 
 
 def test_genus_three_relator():
