@@ -1,19 +1,8 @@
-"""Shared fixtures and helpers. The heavier growth tables are built once per session."""
-
-import itertools
-import random
+"""Shared fixtures. The heavier growth tables are built once per session."""
 
 import pytest
 
-from groupgrowth import (
-    GroupSpec,
-    MatrixZ2,
-    cayley,
-    growth_table,
-    make_generating_set,
-    make_group,
-    scan_hyperbolic,
-)
+from groupgrowth import GroupSpec, MatrixZ2, growth_table, make_group, scan_hyperbolic
 
 # acceptance tests record (label, passed) here; summary prints one line each
 ACCEPTANCE_RESULTS = {}
@@ -31,43 +20,6 @@ def pytest_terminal_summary(terminalreporter):
         label, passed = ACCEPTANCE_RESULTS[num]
         verdict = "PASS" if passed else "FAIL"
         terminalreporter.write_line(f"criterion {num} [{verdict}] {label}")
-
-
-# every det-1, trace-3 monodromy with entries in [-3, 3]
-TRACE3 = tuple(
-    ((a, b), (c, d))
-    for a, b, c, d in itertools.product(range(-3, 4), repeat=4)
-    if a * d - b * c == 1 and a + d == 3
-)
-
-# monodromies whose automorphisms hold a map (v, n) -> (Pv, -n), with P a
-# rotation, a swap and a reflection; a det -1 matrix and one with det 1,
-# whose lists hold only +-I
-ROTATION = ((2, 1), (1, 1))
-SWAP = ((3, -1), (1, 0))
-REFLECTION = ((2, 3), (1, 2))
-DET_MINUS_1 = ((1, 1), (1, 0))
-NO_FLIP = ((3, 1), (2, 1))
-# monodromies of finite order and a parabolic one: bounded or linear powers
-ELLIPTIC = (((1, 0), (0, 1)), ((-1, 0), (0, -1)), ((0, -1), (1, 0)), ((0, -1), (1, 1)), ((1, 1), (0, 1)))
-
-
-def bundle(rows):
-    return GroupSpec.torus_bundle(MatrixZ2.from_rows(rows))
-
-
-def shuffled_defaults(handle, seed=0):
-    """The default letters in a seeded order, as a new generating set equal to them as a set."""
-    named = handle.default_generators().named()
-    random.Random(seed).shuffle(named)
-    return make_generating_set(handle, named, symmetrize=False)
-
-
-def plain_table(handle, gens, kmax, **kwargs):
-    """growth_table with BFS over `gens`, in their order, in place of the counting plan."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cayley, "_plan", lambda h, cap: map(len, cayley.spheres(h, gens, cap)))
-        return growth_table(handle, gens, kmax, **kwargs)
 
 
 def build_table(spec, kmax, **kwargs):

@@ -1,7 +1,6 @@
 import functools
 import itertools
 import random
-from typing import NamedTuple
 
 import pytest
 
@@ -21,8 +20,6 @@ from groupgrowth.cayley import GrowthTable
 from groupgrowth.rates import table_csv_rows
 
 import oracles
-from conftest import DET_MINUS_1, ELLIPTIC, NO_FLIP, REFLECTION, ROTATION, SWAP, TRACE3, bundle
-from conftest import plain_table, shuffled_defaults
 
 
 def default_table(spec, kmax, **kwargs):
@@ -60,163 +57,106 @@ def test_dihedral_closed_form(dihedral_k50):
     assert dihedral_k50.gamma == tuple(oracles.dihedral_ball(k) for k in range(51))
 
 
-# --- the counting plan against BFS ------------------------------------------------
+def test_cyclic_exhausts_and_pads():
+    _, table = default_table(GroupSpec.cyclic(7), 10)
+    assert table.gamma == (1, 3, 5, 7, 7, 7, 7, 7, 7, 7, 7)
+    assert table.complete
+
+
+def bfs_forbidden(monkeypatch):
+    """Make `cayley.spheres` raise, so a table counted by BFS fails."""
+
+    def no_bfs(handle, *args, **kwargs):
+        raise AssertionError(f"BFS ran on {handle.spec.describe()}")
+
+    monkeypatch.setattr(cayley, "spheres", no_bfs)
+
+
+def test_trivial_group_table(monkeypatch):
+    # the trivial group is cyclic(1) to its counter, not BFS over no letters
+    bfs_forbidden(monkeypatch)
+    _, table = default_table(GroupSpec.trivial(), 5)
+    assert table.gamma == (1,) * 6
+    assert table.sigma == (1, 0, 0, 0, 0, 0)
+
+
+# --- BFS oracle cross-checks ---------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "spec,kmax",
+    [
+        (GroupSpec.heisenberg(), 6),
+        (GroupSpec.klein_bottle(), 6),
+        (GroupSpec.torus_bundle(MatrixZ2.from_rows(((2, 1), (1, 1)))), 5),
+        (GroupSpec.torus_bundle(MatrixZ2.from_rows(((1, 1), (1, 0)))), 5),
+        (GroupSpec.free_product(GroupSpec.cyclic(2), GroupSpec.cyclic(3)), 6),
+        (GroupSpec.surface(2), 3),
+        (GroupSpec.direct_product_with_Z(GroupSpec.free(1)), 6),
+        (GroupSpec.cyclic(6), 5),
+        (GroupSpec.trivial(), 3),
+        (GroupSpec.free_product(GroupSpec.cyclic(2), GroupSpec.cyclic(2), GroupSpec.cyclic(2)), 6),
+        (GroupSpec.direct_product_with_Z(GroupSpec.heisenberg()), 5),
+    ],
+    ids=lambda v: v.describe() if isinstance(v, GroupSpec) else str(v),
+)
+def test_gamma_matches_naive_bfs(spec, kmax):
+    handle, table = default_table(spec, kmax)
+    gens = handle.default_generators()
+    assert table.gamma == oracles.naive_ball_sizes(handle, gens.elements, kmax)
+
+
+def test_klein_growth_equals_z2():
+    # quadratic growth; same ball sizes as Z^2 with standard generators
+    _, table = default_table(GroupSpec.klein_bottle(), 12)
+    assert table.gamma == tuple(2 * k * k + 2 * k + 1 for k in range(13))
+
+
+# --- counting plans against full BFS ----------------------------------------------
 
 
 def Z(m):
     return GroupSpec.cyclic(m)
 
 
-class Case(NamedTuple):
-    """A spec whose plan must agree with BFS: with the naive oracle up to
-    `naive` and the plain kernel from there up to `kmax`, and with the plain
-    kernel under the budgets at radius `budget` and under `cap` at kmax 1000."""
-
-    spec: GroupSpec
-    kmax: int
-    naive: int = 0
-    budget: int = 3
-    cap: int | None = None
-
-
-CORPUS = [
-    Case(GroupSpec.trivial(), 5, naive=5, budget=8),
-    *[Case(Z(m), m + 2, naive=m + 2, budget=8) for m in range(1, 11)],
-    Case(Z(10**12), 6, naive=6),
-    Case(GroupSpec.free(1), 15),
-    Case(GroupSpec.free(2), 9, cap=100_000),
-    Case(GroupSpec.free(3), 7),
-    Case(GroupSpec.free(4), 6),
-    Case(GroupSpec.free_abelian(1), 15, naive=15),
-    Case(GroupSpec.free_abelian(2), 30, naive=30),
-    Case(GroupSpec.free_abelian(3), 22, naive=22, budget=8, cap=100_000),
-    Case(GroupSpec.free_abelian(4), 15, naive=9),
-    Case(GroupSpec.free_abelian(5), 6, naive=6),
-    Case(GroupSpec.klein_bottle(), 12, naive=12),
-    Case(GroupSpec.heisenberg(), 30, naive=20, budget=9, cap=100_000),
-    Case(GroupSpec.surface(2), 6, naive=3, cap=25_000),
-    Case(GroupSpec.surface(3), 4),
-    Case(GroupSpec.surface(4), 3),
-    *[Case(bundle(rows), 10, naive=10) for rows in TRACE3 if rows not in (TRACE3[3], SWAP, ROTATION)],
-    Case(bundle(TRACE3[3]), 10, naive=10, budget=6),
-    Case(bundle(SWAP), 10, naive=10, budget=6),
-    Case(bundle(ROTATION), 10, naive=10, cap=100_000),
-    Case(bundle(REFLECTION), 10, naive=9),
-    Case(bundle(DET_MINUS_1), 10, naive=10, cap=100_000),
-    Case(bundle(NO_FLIP), 10, naive=10, budget=5, cap=100_000),
-    *[Case(bundle(rows), 12) for rows in ELLIPTIC if rows != ELLIPTIC[3]],
-    Case(bundle(ELLIPTIC[3]), 12, cap=100_000),
-    Case(GroupSpec.direct_product_with_Z(GroupSpec.free(1)), 6, naive=6),
-    Case(GroupSpec.direct_product_with_Z(GroupSpec.heisenberg()), 5, naive=5),
-    *[
-        Case(GroupSpec.free_product(*factors), kmax, naive=kmax, budget=budget)
-        for factors, kmax, budget in (
-            ((Z(2), Z(3)), 12, 3),
-            ((Z(2), Z(2)), 12, 3),
-            ((Z(2), Z(2), Z(2)), 9, 8),
-            ((Z(4), Z(5)), 8, 3),
-            ((GroupSpec.free(1), Z(2)), 8, 3),
-            ((GroupSpec.heisenberg(), Z(2)), 6, 5),
-            ((GroupSpec.heisenberg(), Z(3), Z(2)), 5, 3),
-            ((GroupSpec.surface(2), Z(2), Z(3)), 3, 3),
-            ((bundle(ROTATION), Z(3)), 5, 3),
-            ((GroupSpec.klein_bottle(), Z(3)), 6, 5),
-            ((GroupSpec.free_product(Z(2), Z(3)), Z(4)), 7, 3),
-            ((Z(10**12), Z(2)), 6, 3),
-            ((Z(10**12), GroupSpec.surface(2)), 3, 3),
-            # a Z x G factor is cut by the root's cap where the product's ball passes it
-            ((GroupSpec.direct_product_with_Z(GroupSpec.free(1)), Z(2)), 6, 5),
-            ((Z(2), GroupSpec.direct_product_with_Z(GroupSpec.free(2))), 3, 3),
-        )
-    ],
-]
-
-
-def closed_form(spec):
-    """gamma(k) as a function of k from a closed form in `oracles`, or None."""
-    if spec == GroupSpec.free_product(Z(2), Z(2)):
-        return oracles.dihedral_ball
-    return {
-        "free": lambda k: oracles.free_ball(spec.n, k),
-        "free_abelian": lambda k: oracles.zd_ball(spec.n, k),
-        "klein_bottle": lambda k: oracles.zd_ball(2, k),
-        "cyclic": lambda k: oracles.cyclic_ball(spec.m, k),
-        "trivial": lambda k: oracles.cyclic_ball(1, k),
-    }.get(spec.family)
-
-
-def holds_z_x_g(spec):
-    if spec.family == "free_product":
-        return any(map(holds_z_x_g, spec.factors))
-    return spec.family == "direct_product_with_Z"
-
-
-def forbid_products(mp, handle):
-    """Make `mul` raise on `handle` and on every factor handle below it."""
+def product_mul_forbidden(handle):
+    """Make `handle.mul` raise, so a table that forms an element of the group fails."""
 
     def no_mul(a, b):
         raise AssertionError(f"element of {handle.spec.describe()} formed")
 
-    mp.setattr(handle, "mul", no_mul)
-    for factor in getattr(handle, "factor_handles", ()):
-        forbid_products(mp, factor)
+    handle.mul = no_mul
 
 
-@pytest.mark.parametrize("case", CORPUS, ids=lambda case: case.spec.describe())
-def test_plan_matches_bfs(case):
-    # on the default letters in any order, the plan counts BFS's balls and,
-    # except at a Z x G node, forms no product
-    handle = make_group(case.spec)
-    gens = shuffled_defaults(handle, seed=case.kmax)
-    closed = closed_form(case.spec)
-    with pytest.MonkeyPatch.context() as mp:
-        if not holds_z_x_g(case.spec):
-            forbid_products(mp, handle)
-        # a closed form is checked to radius 40
-        table = growth_table(handle, gens, max(case.kmax, 40 if closed else 0))
-    assert table.complete
-    # the naive oracle where the ball is small, and the plain kernel past it
-    assert table.gamma[: case.naive + 1] == oracles.naive_ball_sizes(handle, gens.elements, case.naive)
-    if case.naive < case.kmax:
-        assert table.gamma[: case.kmax + 1] == plain_table(handle, gens, case.kmax).gamma
-    if closed:
-        assert table.gamma == tuple(map(closed, range(table.kmax + 1)))
-    if case.spec == GroupSpec.surface(2):
-        # past the reference table's k=5
-        assert table.gamma[6] == 155_577
+FREE_PRODUCTS = [
+    (GroupSpec.free_product(Z(2), Z(3)), 12),
+    (GroupSpec.free_product(Z(2), Z(2)), 12),
+    (GroupSpec.free_product(Z(2), Z(2), Z(2)), 9),
+    (GroupSpec.free_product(Z(4), Z(5)), 8),
+    (GroupSpec.free_product(GroupSpec.free(1), Z(2)), 8),
+    (GroupSpec.free_product(GroupSpec.heisenberg(), Z(2)), 6),
+    (GroupSpec.free_product(GroupSpec.surface(2), Z(2), Z(3)), 3),
+    (GroupSpec.free_product(GroupSpec.torus_bundle(MatrixZ2(2, 1, 1, 1)), Z(3)), 5),
+    (GroupSpec.free_product(GroupSpec.klein_bottle(), Z(3)), 6),
+    # a Z x G factor is planned by BFS on its own letters
+    (GroupSpec.free_product(GroupSpec.direct_product_with_Z(GroupSpec.free(1)), Z(2)), 6),
+    (GroupSpec.free_product(GroupSpec.free_product(Z(2), Z(3)), Z(4)), 7),
+]
 
 
-@pytest.mark.parametrize("case", CORPUS, ids=lambda case: case.spec.describe())
-def test_plan_stops_where_bfs_stops(case):
-    # BFS stops before the first ball larger than the cap and reports
-    # complete only when the whole table fits
-    handle = make_group(case.spec)
-    gens = shuffled_defaults(handle, seed=case.budget)
-    full = plain_table(handle, gens, case.budget).gamma
-    # on each ball's edge, one either side of it, and halfway and an eighth into each sphere
-    caps = {1, 2} | {ball + d for ball in full for d in (-1, 0, 1)}
-    caps |= {lo + (hi - lo) // n for lo, hi in zip(full, full[1:]) for n in (2, 8)}
-    budgets = [(0, {}), (1, {}), (case.budget, {"max_seconds": 0})]
-    budgets += [(case.budget, {"max_elements": cap}) for cap in sorted(caps) if cap >= 1]
-    for kmax, budget in budgets:
-        planned = growth_table(handle, gens, kmax, **budget)
-        plain = plain_table(handle, gens, kmax, **budget)
-        assert (planned.gamma, planned.complete) == (plain.gamma, plain.complete), (kmax, budget)
-        if "max_elements" in budget:
-            cap = budget["max_elements"]
-            assert planned.gamma == tuple(ball for ball in full if ball <= cap), cap
-            assert planned.complete == (full[-1] <= cap), cap
+def spec_id(value):
+    return value.describe() if isinstance(value, GroupSpec) else str(value)
 
 
-@pytest.mark.parametrize("case", [case for case in CORPUS if case.cap], ids=lambda case: case.spec.describe())
-def test_plan_under_a_cap_at_kmax_1000(case):
-    # each counter sizes its encoding by the radius it reaches, not by kmax
-    handle = make_group(case.spec)
+@pytest.mark.parametrize("spec,kmax", FREE_PRODUCTS, ids=spec_id)
+def test_free_product_series_matches_full_bfs(spec, kmax):
+    handle = make_group(spec)
     gens = handle.default_generators()
-    planned = growth_table(handle, gens, 1000, max_elements=case.cap)
-    plain = plain_table(handle, gens, 1000, max_elements=case.cap)
-    assert (planned.gamma, planned.complete) == (plain.gamma, plain.complete)
-    assert not planned.complete and planned.gamma[-1] <= case.cap
+    expected = oracles.naive_ball_sizes(handle, gens.elements, kmax)
+    product_mul_forbidden(handle)
+    table = growth_table(handle, gens, kmax)
+    assert table.gamma == expected
+    assert table.complete
 
 
 def test_series_inverse_matches_closed_forms():
@@ -256,6 +196,64 @@ def test_quotient_multiplies_by_no_zero_den_term():
         assert CountedTerm.products - before <= len(den) - 1
 
 
+def test_z2_star_z2_spheres_stay_at_two():
+    # the infinite dihedral group: two reduced words of each length k >= 1
+    _, table = default_table(GroupSpec.free_product(Z(2), Z(2)), 30)
+    assert table.sigma == (1,) + (2,) * 30
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_cyclic_leaf_matches_the_closed_form(m):
+    handle = make_group(Z(m))
+    gens = handle.default_generators()
+    expected = oracles.naive_ball_sizes(handle, gens.elements, m + 2)
+    assert expected == tuple(oracles.cyclic_ball(m, k) for k in range(m + 3))
+    product_mul_forbidden(handle)
+    assert growth_table(handle, gens, m + 2).gamma == expected
+
+
+@pytest.mark.parametrize("spec", [GroupSpec.trivial(), Z(5), Z(6)], ids=GroupSpec.describe)
+@pytest.mark.parametrize(
+    "budget", [{"max_elements": 1}, {"max_elements": 4}, {"max_seconds": 0}], ids=["cap 1", "cap 4", "no time"]
+)
+def test_cyclic_leaf_stops_where_bfs_stops(spec, budget, monkeypatch):
+    handle = make_group(spec)
+    gens = handle.default_generators()
+    with monkeypatch.context() as mp:
+        mp.setattr(cayley, "_plan", lambda h, cap: map(len, cayley.spheres(h, gens, cap)))
+        bfs = growth_table(handle, gens, 8, **budget)
+    bfs_forbidden(monkeypatch)
+    planned = growth_table(handle, gens, 8, **budget)
+    assert (planned.gamma, planned.complete) == (bfs.gamma, bfs.complete)
+
+
+@pytest.mark.parametrize(
+    "spec,kmax",
+    [
+        pytest.param(spec, kmax, id=spec.describe())
+        for spec, kmax in (
+            (Z(10**12), 6),
+            (GroupSpec.free_product(Z(10**12), Z(2)), 6),
+            (GroupSpec.free_product(Z(10**12), GroupSpec.surface(2)), 3),
+        )
+    ],
+)
+def test_cyclic_leaf_of_huge_order(spec, kmax):
+    # cyclic(m)'s series numerator is sparse, so the order costs neither time nor memory
+    handle, table = default_table(spec, kmax)
+    assert table.gamma == oracles.naive_ball_sizes(handle, handle.default_generators().elements, kmax)
+
+
+def test_shuffled_default_order_takes_the_plan():
+    handle = make_group(GroupSpec.free_product(GroupSpec.heisenberg(), Z(3), Z(2)))
+    named = handle.default_generators().named()
+    random.Random(3).shuffle(named)
+    gens = make_generating_set(handle, named, symmetrize=False)
+    expected = oracles.naive_ball_sizes(handle, gens.elements, 5)
+    product_mul_forbidden(handle)
+    assert growth_table(handle, gens, 5).gamma == expected
+
+
 def test_other_generating_set_of_a_free_product_runs_bfs():
     handle = make_group(GroupSpec.free_product(Z(2), Z(3)))
     # a1, a2 and a1 a2, whose ball is not the default one
@@ -273,6 +271,32 @@ def test_other_generating_set_of_a_free_product_runs_bfs():
     handle.mul = counting_mul
     assert growth_table(handle, gens, 8).gamma == expected
     assert products > 0
+
+
+@pytest.mark.parametrize(
+    "spec,kmax",
+    [
+        (GroupSpec.free_product(Z(2), Z(2), Z(2)), 8),
+        (GroupSpec.free_product(GroupSpec.heisenberg(), Z(2)), 5),
+        (GroupSpec.free_product(GroupSpec.klein_bottle(), Z(3)), 5),
+        # the Z x G factor runs BFS and is cut by the cap at the radius where
+        # the product's ball first passes it; the product must stop there
+        (GroupSpec.free_product(GroupSpec.direct_product_with_Z(GroupSpec.free(1)), Z(2)), 5),
+        (GroupSpec.free_product(Z(2), GroupSpec.direct_product_with_Z(GroupSpec.free(2))), 3),
+    ],
+    ids=spec_id,
+)
+def test_capped_free_product_stops_where_bfs_stops(spec, kmax):
+    # BFS stops before the first ball larger than the cap and reports
+    # complete only when the whole table fits
+    handle = make_group(spec)
+    gens = handle.default_generators()
+    full = oracles.naive_ball_sizes(handle, gens.elements, kmax)
+    caps = set(range(1, 40)) | {c for ball in full[1:] for c in (ball - 1, ball, ball + 1)}
+    for cap in sorted(caps):
+        table = growth_table(handle, gens, kmax, max_elements=cap)
+        assert table.gamma == tuple(ball for ball in full if ball <= cap), cap
+        assert table.complete == (full[-1] <= cap), cap
 
 
 # --- table invariants and budgets ----------------------------------------------

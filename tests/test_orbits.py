@@ -5,11 +5,11 @@ tests check them, check that word length is constant on their orbits and
 that the symmetries the counters fold in are on them: (x, y, z) -> (-x, y, -z)
 and (x, -y, -z) on heisenberg, and on a torus bundle (v, n) -> (-v, n) and,
 when the counter finds a signed permutation P with P M = M^-1 P, (Pv, -n).
-They check that other generating sets run the plain BFS kernel, count the
-products the heisenberg and torus-bundle counters save, and check each step of
+They check that the counters of free groups, surface groups, Z^n, heisenberg
+and torus bundles give the same balls as the plain BFS kernel and the naive
+oracle, under every budget, without forming a product, and check each step of
 the derivation of heisenberg's sphere series against the column counter
-`oracles.heisenberg_column_spheres`.  The plan against BFS under every budget
-is `test_cayley`'s contract.
+`oracles.heisenberg_column_spheres`.
 """
 
 import itertools
@@ -33,8 +33,28 @@ from groupgrowth import (
 )
 
 import oracles
-from conftest import DET_MINUS_1, ELLIPTIC, NO_FLIP, REFLECTION, ROTATION, SWAP, TRACE3, bundle
-from conftest import plain_table, shuffled_defaults
+
+# every det-1, trace-3 monodromy with entries in [-3, 3]
+TRACE3 = tuple(
+    ((a, b), (c, d))
+    for a, b, c, d in itertools.product(range(-3, 4), repeat=4)
+    if a * d - b * c == 1 and a + d == 3
+)
+
+# monodromies whose oracle list holds a map (v, n) -> (Pv, -n), with P a
+# rotation, a swap and a reflection; a det -1 matrix and one with det 1,
+# whose lists hold only +-I
+ROTATION = ((2, 1), (1, 1))
+SWAP = ((3, -1), (1, 0))
+REFLECTION = ((2, 3), (1, 2))
+DET_MINUS_1 = ((1, 1), (1, 0))
+NO_FLIP = ((3, 1), (2, 1))
+# monodromies of finite order and a parabolic one: bounded or linear powers
+ELLIPTIC = (((1, 0), (0, 1)), ((-1, 0), (0, -1)), ((0, -1), (1, 0)), ((0, -1), (1, 1)), ((1, 1), (0, 1)))
+
+
+def bundle(rows):
+    return GroupSpec.torus_bundle(MatrixZ2.from_rows(rows))
 
 
 def box(radius, dim):
@@ -89,6 +109,20 @@ TIES = {
 
 # the radius to which each family's spheres are split into orbits
 ORBIT_RADIUS = {"Z^2": 8, "Z^3": 6, "Z^4": 4, "heisenberg": 7, **{name: 5 for name in FAMILIES if name.startswith("bundle")}}
+
+
+def shuffled_defaults(handle, seed=0):
+    """The default letters in a seeded order, as a new generating set equal to them as a set."""
+    named = handle.default_generators().named()
+    random.Random(seed).shuffle(named)
+    return make_generating_set(handle, named, symmetrize=False)
+
+
+def plain_table(handle, gens, kmax, **kwargs):
+    """growth_table with BFS over `gens`, in their order, in place of the counting plan."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cayley, "_plan", lambda h, cap: map(len, cayley.spheres(h, gens, cap)))
+        return growth_table(handle, gens, kmax, **kwargs)
 
 
 # --- the oracle maps -------------------------------------------------------------------
@@ -168,6 +202,58 @@ def test_named_ties(family):
 
 
 @pytest.mark.parametrize(
+    "spec,kmax",
+    [
+        (GroupSpec.heisenberg(), 20),
+        (GroupSpec.free_abelian(3), 22),
+        (GroupSpec.free_abelian(2), 30),
+        (GroupSpec.free_abelian(4), 9),
+        (GroupSpec.free_abelian(1), 12),
+        *[(bundle(rows), 10) for rows in TRACE3],
+        (bundle(REFLECTION), 9),
+        (bundle(DET_MINUS_1), 10),
+        (bundle(NO_FLIP), 10),
+    ],
+    ids=lambda v: v.describe() if isinstance(v, GroupSpec) else str(v),
+)
+def test_orbit_gamma_matches_naive_bfs(spec, kmax):
+    # the default letters in any order reach the family's counter
+    handle = make_group(spec)
+    gens = shuffled_defaults(handle, seed=kmax)
+    table = growth_table(handle, gens, kmax)
+    assert table.complete
+    assert table.gamma == oracles.naive_ball_sizes(handle, gens.elements, kmax)
+
+
+@pytest.mark.parametrize(
+    "spec,kmax",
+    [
+        (GroupSpec.heisenberg(), 9),
+        (GroupSpec.free_abelian(3), 8),
+        (bundle(TRACE3[3]), 6),
+        (bundle(SWAP), 6),
+        (bundle(NO_FLIP), 5),
+    ],
+    ids=lambda v: v.describe() if isinstance(v, GroupSpec) else str(v),
+)
+def test_element_caps_cut_at_the_plain_kernels_sphere(spec, kmax):
+    handle = make_group(spec)
+    gens = shuffled_defaults(handle)
+    full = plain_table(handle, gens, kmax).gamma
+    # on a sphere boundary, one either side of it, and inside each sphere
+    caps = {1, 2, 3}
+    for lo, hi in zip(full, full[1:]):
+        caps |= {lo - 1, lo, lo + 1, (lo + hi) // 2, lo + (hi - lo) // 8, hi - 2}
+    for cap in sorted(c for c in caps if c >= 1):
+        counted = growth_table(handle, gens, kmax, max_elements=cap)
+        plain = plain_table(handle, gens, kmax, max_elements=cap)
+        assert (counted.gamma, counted.complete) == (plain.gamma, plain.complete), cap
+        # the table holds exactly the spheres that fit under the cap
+        assert counted.gamma == tuple(g for g in full if g <= cap), cap
+        assert counted.complete == (full[-1] <= cap), cap
+
+
+@pytest.mark.parametrize(
     "spec,letters,kmax",
     [
         (GroupSpec.free_abelian(2), [("a", (1, 0)), ("b", (0, 1)), ("c", (1, 1))], 8),
@@ -221,6 +307,126 @@ def test_bundle_flip_exactly_when_the_oracle_list_swaps_t(rows):
     if flip is not None:
         a, b, c, d = flip
         assert on_list(swaps_t, lambda p: (a * p[0] + b * p[1], c * p[0] + d * p[1], -p[2]))
+
+
+# counted specs of every counted family, each with a radius its plain kernel reaches quickly
+COUNTED = [
+    (GroupSpec.heisenberg(), 30),
+    *[(bundle(rows), 10) for rows in (*TRACE3, NO_FLIP, REFLECTION, DET_MINUS_1)],
+    *[(bundle(rows), 12) for rows in ELLIPTIC],
+    *[(GroupSpec.free_abelian(n), 15) for n in (1, 2, 3, 4)],
+    (GroupSpec.surface(2), 6),
+    (GroupSpec.surface(3), 4),
+    (GroupSpec.surface(4), 3),
+    (GroupSpec.free(1), 15),
+    (GroupSpec.free(2), 9),
+    (GroupSpec.free(3), 7),
+    (GroupSpec.free(4), 6),
+]
+
+
+@pytest.mark.parametrize(
+    "spec,kmax", COUNTED, ids=lambda v: v.describe() if isinstance(v, GroupSpec) else str(v)
+)
+def test_counter_gamma_matches_the_plain_kernel(spec, kmax):
+    handle = make_group(spec)
+    gens = shuffled_defaults(handle, seed=kmax)
+    table = growth_table(handle, gens, kmax)
+    assert table.complete
+    assert table.gamma == plain_table(handle, gens, kmax).gamma
+    if spec.family == "free_abelian":
+        assert table.gamma == tuple(oracles.zd_ball(spec.n, k) for k in range(kmax + 1))
+    if spec.family == "free":
+        assert table.gamma == tuple(oracles.free_ball(spec.n, k) for k in range(kmax + 1))
+    if spec == GroupSpec.surface(2):
+        # past the reference table's k=5, so surface BFS stays checked where
+        # no benchmark runs it on the default letters
+        assert table.gamma[6] == 155_577
+
+
+@pytest.mark.parametrize(
+    "kmax,budget,gamma,complete",
+    [
+        (0, {}, (1,), True),
+        (1, {}, None, True),
+        (3, {"max_seconds": 0}, (1,), False),
+        # every default set has at least two letters, so sphere 1 passes this cap
+        (3, {"max_elements": 2}, (1,), False),
+    ],
+    ids=["kmax 0", "kmax 1", "no time", "cap inside sphere 1"],
+)
+@pytest.mark.parametrize("spec", [spec for spec, _ in COUNTED], ids=GroupSpec.describe)
+def test_counter_edges_match_the_plain_kernel(spec, kmax, budget, gamma, complete):
+    handle = make_group(spec)
+    gens = shuffled_defaults(handle)
+    counted = growth_table(handle, gens, kmax, **budget)
+    plain = plain_table(handle, gens, kmax, **budget)
+    assert (counted.gamma, counted.complete) == (plain.gamma, plain.complete)
+    assert counted.gamma == (gamma or (1, 1 + len(gens.elements)))
+    assert counted.complete == complete
+
+
+def test_free_abelian_series_counter_matches_zd_ball():
+    for n in range(1, 6):
+        handle = make_group(GroupSpec.free_abelian(n))
+        table = growth_table(handle, handle.default_generators(), 40)
+        assert table.gamma == tuple(oracles.zd_ball(n, k) for k in range(41)), n
+
+
+@pytest.mark.parametrize(
+    "spec,cap",
+    [
+        pytest.param(spec, cap, id=spec.describe())
+        for spec, cap in (
+            (GroupSpec.heisenberg(), 100_000),
+            (bundle(ROTATION), 100_000),
+            (bundle(NO_FLIP), 100_000),
+            (bundle(DET_MINUS_1), 100_000),
+            (bundle(ELLIPTIC[3]), 100_000),
+            (GroupSpec.free_abelian(3), 100_000),
+            (GroupSpec.free(2), 100_000),
+            (GroupSpec.surface(2), 25_000),
+        )
+    ],
+)
+def test_large_kmax_under_a_cap_matches_the_plain_kernel(spec, cap):
+    # each counter sizes its encoding by the radius it reaches, not by kmax
+    handle = make_group(spec)
+    gens = handle.default_generators()
+    counted = growth_table(handle, gens, 1000, max_elements=cap)
+    plain = plain_table(handle, gens, 1000, max_elements=cap)
+    assert (counted.gamma, counted.complete) == (plain.gamma, plain.complete)
+    assert not counted.complete and counted.gamma[-1] <= cap
+
+
+@pytest.mark.parametrize(
+    "spec,kmax",
+    [
+        (GroupSpec.heisenberg(), 12),
+        (bundle(ROTATION), 8),
+        (bundle(DET_MINUS_1), 8),
+        (bundle(NO_FLIP), 8),
+        (GroupSpec.free_abelian(3), 12),
+        (GroupSpec.free(2), 8),
+        (GroupSpec.surface(2), 5),
+        (GroupSpec.surface(3), 4),
+        (GroupSpec.klein_bottle(), 12),
+        (GroupSpec.cyclic(9), 8),
+        (GroupSpec.cyclic(10), 8),
+    ],
+    ids=lambda v: v.describe() if isinstance(v, GroupSpec) else str(v),
+)
+def test_counters_form_no_product(spec, kmax):
+    # a refactor that falls back to BFS still gets every gamma right; only this shows it
+    handle = make_group(spec)
+    gens = shuffled_defaults(handle, seed=kmax)
+    expected = plain_table(handle, gens, kmax).gamma
+
+    def no_mul(a, b):
+        raise AssertionError("the counter formed a product")
+
+    handle.mul = no_mul
+    assert growth_table(handle, gens, kmax).gamma == expected
 
 
 def test_heisenberg_columns_at_radius_60():
